@@ -6,10 +6,13 @@ effect); the point of the compiled extension is speed on the hot paths:
 the fixed-order matmul that dominates training, inference and the pruning
 solver, plus the elementwise relu.
 
+Exits with status 1 if any case's results differ between the backends.
+
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -31,6 +34,15 @@ MATMUL_SHAPES = [
     ("gram      65x2000 @ 2000x65", (65, 2000), (2000, 65)),
 ]
 
+# Printed by main only: ADMM working sets once most columns have converged,
+# and one serving batch through the first layer.
+NARROW_SHAPES = [
+    ("admm fit  2000x65 @ 65x1", (2000, 65), (65, 1)),
+    ("admm fit  2000x65 @ 65x3", (2000, 65), (65, 3)),
+    ("admm rhs  65x2000 @ 2000x5", (65, 2000), (2000, 5)),
+    ("layer fwd 32x64 @ 64x50", (32, 64), (64, 50)),
+]
+
 
 def _time(fn, repeats):
     best = float("inf")
@@ -41,9 +53,9 @@ def _time(fn, repeats):
     return best
 
 
-def _bench_backend(impl, repeats, rng):
+def _bench_backend(impl, repeats, rng, shapes=MATMUL_SHAPES):
     results = {}
-    for name, sa, sb in MATMUL_SHAPES:
+    for name, sa, sb in shapes:
         a = np.ascontiguousarray(rng.normal(size=sa))
         b = np.ascontiguousarray(rng.normal(size=sb))
         results[name] = (_time(lambda: impl.matmul(a, b), repeats),
@@ -70,28 +82,34 @@ def main():
     args = parser.parse_args()
 
     print(f"selected backend at import: {_kernels.BACKEND}")
-    rng = np.random.default_rng(0)
-    py = _bench_backend(_pykernels, args.repeats, np.random.default_rng(0))
+    shapes = MATMUL_SHAPES + NARROW_SHAPES
+    py = _bench_backend(_pykernels, args.repeats, np.random.default_rng(0), shapes)
 
     if _ckernels is None:
         print("compiled kernels not built; showing fallback timings only\n")
         for name, (secs, _) in py.items():
-            print(f"{name:30s} python {secs * 1e3:9.2f} ms")
-        return
+            print(f"{name:30s} python {secs * 1e6:10.1f} us")
+        return 0
 
-    cc = _bench_backend(_ckernels, args.repeats, np.random.default_rng(0))
-    print(f"{'case':30s} {'python':>12s} {'compiled':>12s} {'speedup':>9s}  bits")
+    cc = _bench_backend(_ckernels, args.repeats, np.random.default_rng(0), shapes)
+    mismatches = 0
+    print(f"{'case':30s} {'python':>13s} {'compiled':>13s} {'speedup':>9s}  bits")
     for name in py:
         t_py, out_py = py[name]
         t_cc, out_cc = cc[name]
         identical = out_py.tobytes() == out_cc.tobytes()
-        print(f"{name:30s} {t_py * 1e3:9.2f} ms {t_cc * 1e3:9.2f} ms "
+        mismatches += not identical
+        print(f"{name:30s} {t_py * 1e6:10.1f} us {t_cc * 1e6:10.1f} us "
               f"{t_py / t_cc:8.1f}x  {'==' if identical else 'MISMATCH'}")
 
     fwd = _bench_forward(args.repeats)
     print(f"\npredict [64,32,5] on 2500 samples ({_kernels.BACKEND}): "
           f"{fwd * 1e3:.2f} ms")
+    if mismatches:
+        print(f"{mismatches} case(s) differ between the backends", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,9 +11,6 @@ from setuptools import setup
 from setuptools.command.build_ext import build_ext
 from setuptools.extension import Extension
 
-HERE = os.path.abspath(os.path.dirname(__file__))
-KERNEL_DIR = os.path.join("src", "ensyth", "_kernels")
-
 
 class OptionalBuildExt(build_ext):
     """Skip the compiled kernels when no working C toolchain is available."""
@@ -39,20 +36,12 @@ class OptionalBuildExt(build_ext):
 def _extensions():
     if os.environ.get("ENSYTH_NO_EXT"):
         return []
-    c_source = os.path.join(KERNEL_DIR, "_ckernels.c")
-    pyx_source = os.path.join(KERNEL_DIR, "_ckernels.pyx")
-    if not os.path.exists(os.path.join(HERE, c_source)):
-        try:
-            from Cython.Build import cythonize
-        except ImportError:
-            return []
-        cythonize([os.path.join(HERE, pyx_source)], language_level=3)
     # -ffp-contract=off keeps mul/add rounding separate so the compiled
     # kernels are bit-identical to the numpy fallback.
     return [
         Extension(
             "ensyth._kernels._ckernels",
-            sources=[c_source],
+            sources=[os.path.join("src", "ensyth", "_kernels", "_ckernels.c")],
             extra_compile_args=["-O3", "-ffp-contract=off"],
         )
     ]

@@ -1,5 +1,13 @@
+import glob
+import importlib.util
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 settings.register_profile(
     "ci",
@@ -9,6 +17,28 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(scope="session")
+def ckernels(tmp_path_factory):
+    """The compiled kernel module, built from setup.py into a temporary directory.
+
+    Nothing is written under the source tree.  Skips only when the build
+    produces no extension (no C compiler, or compilation failed).
+    """
+    top = tmp_path_factory.mktemp("ckernels")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(top / "lib"), "--build-temp", str(top / "tmp")],
+        cwd=REPO, capture_output=True, text=True, timeout=300)
+    built = glob.glob(str(top / "lib" / "ensyth" / "_kernels" / "_ckernels.*"))
+    if proc.returncode != 0 or not built:
+        pytest.skip("compiled kernels could not be built:\n" + proc.stdout[-2000:]
+                    + proc.stderr[-2000:])
+    spec = importlib.util.spec_from_file_location("ensyth._kernels._ckernels", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")
