@@ -4,7 +4,8 @@
 Both backends compute bit-identical results (verified here as a side
 effect); the point of the compiled extension is speed on the hot paths:
 the fixed-order matmul that dominates training, inference and the pruning
-solver, plus the elementwise relu.
+solver, the elementwise relu, and the two fused blocks of elementwise and
+column-norm work in each ADMM iteration of the pruner.
 
 Exits with status 1 if any case's results differ between the backends.
 
@@ -44,6 +45,17 @@ NARROW_SHAPES = [
 ]
 
 
+# Fused ADMM blocks on blobs_small's shapes: (fit block p x m, L1 block d x m)
+# for the hidden layer (2000 samples, 64 inputs + bias, 32 neurons) and the
+# output layer (32 inputs + bias, 5 neurons).
+ADMM_SHAPES = [
+    ("admm fit block 2000x32", "admm_fit", 2000, 32),
+    ("admm l1 block  65x32", "admm_l1", 65, 32),
+    ("admm fit block 2000x5", "admm_fit", 2000, 5),
+    ("admm l1 block  33x5", "admm_l1", 33, 5),
+]
+
+
 def _time(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
@@ -66,6 +78,28 @@ def _bench_backend(impl, repeats, rng, shapes=MATMUL_SHAPES):
     return results
 
 
+def _admm_operands(kernel, rows, m, rng):
+    arrays = [rng.normal(size=(rows, m)) for _ in range(4 if kernel == "admm_fit" else 7)]
+    if kernel == "admm_fit":
+        act = rng.random((rows, m)) < 0.6
+        eps = rng.uniform(0.0, 2.0, m) * np.sqrt(rows)
+        return (*arrays, act, eps, rng.uniform(0.0, 1.0, m), 1.6)
+    penalize = np.ones(rows, dtype=bool)
+    penalize[-1] = False
+    return (*arrays, penalize, 2.0 ** rng.integers(-4, 5, m), 1.6)
+
+
+def _bench_admm(impl, repeats, rng):
+    """Best time and the outputs' bytes for each case of ADMM_SHAPES."""
+    results = {}
+    for name, kernel, rows, m in ADMM_SHAPES:
+        args = _admm_operands(kernel, rows, m, rng)
+        fn = getattr(impl, kernel)
+        results[name] = (_time(lambda: fn(*args), repeats),
+                         b"".join(out.tobytes() for out in fn(*args)))
+    return results
+
+
 def _bench_forward(repeats):
     """End-to-end forward pass under whichever backend is selected."""
     ds = ensyth.synth_blobs(seed=0, samples_per_class=500, classes=5, dim=64,
@@ -83,21 +117,27 @@ def main():
 
     print(f"selected backend at import: {_kernels.BACKEND}")
     shapes = MATMUL_SHAPES + NARROW_SHAPES
-    py = _bench_backend(_pykernels, args.repeats, np.random.default_rng(0), shapes)
 
+    def run(impl):
+        results = _bench_backend(impl, args.repeats, np.random.default_rng(0), shapes)
+        results = {name: (secs, out.tobytes()) for name, (secs, out) in results.items()}
+        results.update(_bench_admm(impl, args.repeats, np.random.default_rng(1)))
+        return results
+
+    py = run(_pykernels)
     if _ckernels is None:
         print("compiled kernels not built; showing fallback timings only\n")
         for name, (secs, _) in py.items():
             print(f"{name:30s} python {secs * 1e6:10.1f} us")
         return 0
 
-    cc = _bench_backend(_ckernels, args.repeats, np.random.default_rng(0), shapes)
+    cc = run(_ckernels)
     mismatches = 0
     print(f"{'case':30s} {'python':>13s} {'compiled':>13s} {'speedup':>9s}  bits")
     for name in py:
         t_py, out_py = py[name]
         t_cc, out_cc = cc[name]
-        identical = out_py.tobytes() == out_cc.tobytes()
+        identical = out_py == out_cc
         mismatches += not identical
         print(f"{name:30s} {t_py * 1e6:10.1f} us {t_cc * 1e6:10.1f} us "
               f"{t_py / t_cc:8.1f}x  {'==' if identical else 'MISMATCH'}")

@@ -1,4 +1,5 @@
-/* Compiled matmul/relu kernels, bit-identical to _pykernels.
+/* Compiled kernels, bit-identical to _pykernels: matmul, relu and the two
+   fused blocks of one iteration of the pruner's ADMM (at the end).
 
    Every cell of matmul starts at +0.0 and adds a[i,k]*b[k,j] for k = 0..K-1
    in order, with each multiply and each add rounded on its own (setup.py
@@ -16,6 +17,8 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 #define WIDE_MR 4    /* rows of a wide tile, whose columns fill two vectors */
@@ -134,20 +137,23 @@ matmul_blocks(const double *a, const double *b, double *c, Py_ssize_t m,
     }
 }
 
-/* Fill view with a 2-D, C-contiguous float64 buffer of obj, or raise. */
+/* Fill view with an ndim-dimensional, C-contiguous buffer of obj whose items
+   have struct format fmt ('d' float64 or '?' bool), or raise. */
 static int
-get_matrix(PyObject *obj, Py_buffer *view, const char *name)
+get_array(PyObject *obj, Py_buffer *view, const char *name, int ndim, char fmt)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
         return -1;
-    const char *fmt = view->format ? view->format : "B";
-    if (fmt[0] == '@' || fmt[0] == '=' || fmt[0] == '<')
-        fmt++;
-    if (strcmp(fmt, "d") != 0 || view->itemsize != sizeof(double)) {
-        PyErr_Format(PyExc_TypeError, "%s must be a float64 buffer, got format '%s'",
-                     name, view->format ? view->format : "B");
-    } else if (view->ndim != 2) {
-        PyErr_Format(PyExc_ValueError, "%s must be 2-D, got ndim=%d", name, view->ndim);
+    const char *got = view->format ? view->format : "B";
+    if (got[0] == '@' || got[0] == '=' || got[0] == '<')
+        got++;
+    if (got[0] != fmt || got[1] != '\0'
+        || view->itemsize != (fmt == 'd' ? (Py_ssize_t)sizeof(double) : 1)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a %s buffer, got format '%s'", name,
+                     fmt == 'd' ? "float64" : "bool", view->format ? view->format : "B");
+    } else if (view->ndim != ndim) {
+        PyErr_Format(PyExc_ValueError, "%s must be %d-D, got ndim=%d", name, ndim,
+                     view->ndim);
     } else if (!PyBuffer_IsContiguous(view, 'C')) {
         PyErr_Format(PyExc_ValueError, "%s must be C-contiguous", name);
     } else {
@@ -178,9 +184,9 @@ matmul(PyObject *self, PyObject *args)
     Py_buffer a, b, c;
     if (!PyArg_ParseTuple(args, "OO:matmul", &a_obj, &b_obj))
         return NULL;
-    if (get_matrix(a_obj, &a, "a") < 0)
+    if (get_array(a_obj, &a, "a", 2, 'd') < 0)
         return NULL;
-    if (get_matrix(b_obj, &b, "b") < 0)
+    if (get_array(b_obj, &b, "b", 2, 'd') < 0)
         goto release_a;
     Py_ssize_t m = a.shape[0], kdim = a.shape[1], n = b.shape[1];
     if (b.shape[0] != kdim) {
@@ -212,7 +218,7 @@ static PyObject *
 relu(PyObject *self, PyObject *a_obj)
 {
     Py_buffer a, c;
-    if (get_matrix(a_obj, &a, "a") < 0)
+    if (get_array(a_obj, &a, "a", 2, 'd') < 0)
         return NULL;
     PyObject *out = new_matrix(a.shape[0], a.shape[1], &c);
     if (out != NULL) {
@@ -229,18 +235,331 @@ relu(PyObject *self, PyObject *a_obj)
     return out;
 }
 
+/* --- The pruner's ADMM iteration between its matmuls ----------------------
+
+   Each block repeats _pykernels.admm_fit / admm_l1 operation for operation:
+   the same IEEE-754 operations on each element, numpy's elementwise rules
+   (below), and numpy's order for the column sums of squares behind the
+   norms.  For m >= 2, sum(axis=0) of a C-contiguous (rows, m) array adds
+   each column's rows in order, and so do the blocks.  A single column is
+   contiguous, and numpy sums it pairwise instead; the blocks hand m == 1 to
+   _pykernels.  The loops take two columns at a time in baseline vectors; an
+   odd m redoes one column in the last pair, whose first lane then keeps its
+   sums.  The work is memory-bound, so there is no per-ISA variant.
+
+   The vectors are explicit, so -O3's loop passes have nothing to add here:
+   at -O1 the blocks run as fast and take half the compile time. */
+
+#pragma GCC push_options
+#pragma GCC optimize("O1")
+
+typedef long long v2i __attribute__((vector_size(16)));
+
+static const v2d zero = {0.0, 0.0};
+static const v2i all_lanes = {-1, -1}, second_lane = {0, -1};
+
+static inline v2d
+load(const double *p)
+{
+    v2d v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline void store(double *p, v2d v) { memcpy(p, &v, sizeof v); }
+
+/* numpy's where, maximum and minimum (NaN propagates; on a tie the second
+   operand wins), absolute and sign (+0.0 for either zero), lane by lane. */
+static inline v2d
+where(v2i mask, v2d a, v2d b)
+{
+    return (v2d)(((v2i)a & mask) | ((v2i)b & ~mask));
+}
+
+static inline v2i byte_mask(const unsigned char *c) { return (v2i){c[0] ? -1 : 0, c[1] ? -1 : 0}; }
+static inline v2d np_maximum(v2d a, v2d b) { return where((a > b) | (a != a), a, b); }
+static inline v2d np_minimum(v2d a, v2d b) { return where((a < b) | (a != a), a, b); }
+static inline v2d np_abs(v2d x) { return (v2d)((v2i)x & (v2i){INT64_MAX, INT64_MAX}); }
+
+static inline v2d
+np_sign(v2d x)
+{
+    const v2d one = {1.0, 1.0};
+    return where(x > zero, one, where(x < zero, -one, where(x == zero, zero, x)));
+}
+
+/* acc[j] += x * x in the lanes of mask. */
+static inline void
+add_square(double *acc, v2d x, v2i mask)
+{
+    const v2d old = load(acc);
+    store(acc, where(mask, old + x * x, old));
+}
+
+/* The element steps work on columns j, j + 1 of row i: element k = i * m + j
+   of the (rows, m) arrays; only the lanes in mask add to the sums. */
+#define STEP static inline __attribute__((always_inline)) void
+
+/* Fit block, pass 1: sum 0 adds the squares of dev = act ? vf - yt : 0. */
+STEP
+fit_dev(Py_ssize_t k, Py_ssize_t j, v2i mask, double relax, void *const *in,
+        double *const *sum)
+{
+    const double *const *x = (const double *const *)in;
+    const v2d vf = (relax * load(x[0] + k) + (1.0 - relax) * load(x[1] + k))
+                   + load(x[2] + k);
+    add_square(sum[0] + j, where(byte_mask((const unsigned char *)in[4] + k),
+                                 vf - load(x[3] + k), zero), mask);
+}
+
+/* Fit block, pass 2: zf_new and wf_new; sums 1-3 add the squares of
+   au - zf_new, au and zf_new.  sum[4] holds each column's fit scale. */
+STEP
+fit_update(Py_ssize_t k, Py_ssize_t j, v2i mask, double relax, void *const *in,
+           double *const *out, double *const *sum)
+{
+    const double *const *x = (const double *const *)in;
+    const v2d au = load(x[0] + k), wf = load(x[2] + k), yt = load(x[3] + k);
+    const v2d au_r = relax * au + (1.0 - relax) * load(x[1] + k);
+    const v2d vf = au_r + wf;
+    const v2d z = where(byte_mask((const unsigned char *)in[4] + k),
+                        yt + (vf - yt) * load(sum[4] + j),
+                        np_minimum(vf, load(x[6] + j)));
+    store(out[0] + k, z);
+    store(out[1] + k, wf + (au_r - z));
+    add_square(sum[1] + j, au - z, mask);
+    add_square(sum[2] + j, au, mask);
+    add_square(sum[3] + j, z, mask);
+}
+
+/* L1 block, one pass: zl_new, wl_new, wx_new; sums 0-4 add the squares of
+   u - zl_new, the dual residual, u, zl_new and wx_new + wl_new.  pen is set
+   when row i is penalized. */
+STEP
+l1_update(Py_ssize_t k, Py_ssize_t j, v2i mask, double relax, v2i pen,
+          void *const *in, double *const *out, double *const *sum)
+{
+    const double *const *x = (const double *const *)in;
+    const v2d u = load(x[0] + k), zl = load(x[1] + k), wl = load(x[2] + k);
+    const v2d d_cache = load(x[4] + k), d_new = load(x[5] + k), rho = load(x[8] + j);
+    const v2d u_r = relax * u + (1.0 - relax) * zl;
+    const v2d vl = u_r + wl;
+    const v2d soft = np_sign(vl) * np_maximum(np_abs(vl) - 1.0 / rho, zero);
+    const v2d z = where(pen, soft, vl);
+    const v2d wx = load(x[6] + k)
+                   + ((relax * load(x[3] + k) + (1.0 - relax) * d_cache) - d_new);
+    const v2d wl_new = wl + (u_r - z);
+    store(out[0] + k, z);
+    store(out[1] + k, wl_new);
+    store(out[2] + k, wx);
+    add_square(sum[0] + j, u - z, mask);
+    add_square(sum[1] + j, rho * ((d_new - d_cache) + (z - zl)), mask);
+    add_square(sum[2] + j, u, mask);
+    add_square(sum[3] + j, z, mask);
+    add_square(sum[4] + j, wx + wl_new, mask);
+}
+
+/* STEP_CALL for each column pair of row i, m >= 2; the last pair of an odd
+   m overlaps the one before it, and mask leaves out the column done twice. */
+#define FOR_PAIRS(i, STEP_CALL)                                               \
+    for (Py_ssize_t j_ = 0; j_ < m; j_ += 2) {                                \
+        const Py_ssize_t j = j_ + 2 <= m ? j_ : m - 2;                        \
+        const v2i mask = j == j_ ? all_lanes : second_lane;                   \
+        STEP_CALL;                                                            \
+    }
+
+/* A block: operands in, (rows, m) outputs out, the column sums of squares
+   of its norms (and scratch) in sum; m >= 2. */
+typedef void block_fn(Py_ssize_t rows, Py_ssize_t m, void *const *in, double relax,
+                      double *const *out, double *const *sum);
+
+/* in = au, zf, wf, yt, act, eps_fit, eps_slack; out = zf_new, wf_new.
+   Pass 1 scales each column's fit projection from its dev norm; pass 2
+   recomputes dev and writes. */
+static void
+fit_block(Py_ssize_t p, Py_ssize_t m, void *const *in, double relax,
+          double *const *out, double *const *sum)
+{
+    const double *eps_fit = in[5];
+    for (Py_ssize_t i = 0; i < p; i++)
+        FOR_PAIRS(i, fit_dev(i * m + j, j, mask, relax, in, sum))
+    for (Py_ssize_t j = 0; j < m; j++) {
+        const double norm = sqrt(sum[0][j]);
+        sum[4][j] = norm > eps_fit[j] ? eps_fit[j] / (norm > 1e-300 ? norm : 1e-300)
+                                      : 1.0;
+    }
+    for (Py_ssize_t i = 0; i < p; i++)
+        FOR_PAIRS(i, fit_update(i * m + j, j, mask, relax, in, out, sum))
+}
+
+/* in = u, zl, wl, xau, d_cache, d_new, wx, penalize, rho_col; out = zl_new,
+   wl_new, wx_new. */
+static void
+l1_block(Py_ssize_t d, Py_ssize_t m, void *const *in, double relax,
+         double *const *out, double *const *sum)
+{
+    const unsigned char *penalize = in[7];
+    for (Py_ssize_t i = 0; i < d; i++) {
+        const v2i pen = penalize[i] ? all_lanes : (v2i){0, 0};
+        FOR_PAIRS(i, l1_update(i * m + j, j, mask, relax, pen, in, out, sum))
+    }
+}
+
+/* An operand: a 2-D array of shape (rows, m), or a vector of length rows
+   (axis 0) or m (axis 1). */
+struct operand { const char *name; char fmt; int ndim, axis; };
+
+#define MAX_IN 9     /* operands of a block */
+#define MAX_OUT 3    /* (rows, m) outputs of a block */
+#define MAX_SUMS 5   /* column sums of a block, or the fit scale */
+
+struct block {
+    const char *name;
+    int n_in, n_out;
+    struct operand in[MAX_IN];
+    int first_norm, n_norms;    /* the sums returned as norms */
+    block_fn *fn;
+};
+
+static const struct block fit = {
+    "admm_fit", 7, 2,
+    {{"au", 'd', 2, 0}, {"zf", 'd', 2, 0}, {"wf", 'd', 2, 0}, {"yt", 'd', 2, 0},
+     {"act", '?', 2, 0}, {"eps_fit", 'd', 1, 1}, {"eps_slack", 'd', 1, 1}},
+    1, 3, fit_block,
+};
+
+static const struct block l1 = {
+    "admm_l1", 9, 3,
+    {{"u", 'd', 2, 0}, {"zl", 'd', 2, 0}, {"wl", 'd', 2, 0}, {"xau", 'd', 2, 0},
+     {"d_cache", 'd', 2, 0}, {"d_new", 'd', 2, 0}, {"wx", 'd', 2, 0},
+     {"penalize", '?', 1, 0}, {"rho_col", 'd', 1, 1}},
+    0, 5, l1_block,
+};
+
+/* The same call on _pykernels, for a single column. */
+static PyObject *
+numpy_twin(const struct block *b, PyObject *args)
+{
+    PyObject *mod = PyImport_ImportModule("ensyth._kernels._pykernels");
+    if (mod == NULL)
+        return NULL;
+    PyObject *fn = PyObject_GetAttrString(mod, b->name);
+    Py_DECREF(mod);
+    if (fn == NULL)
+        return NULL;
+    PyObject *result = PyObject_Call(fn, args, NULL);
+    Py_DECREF(fn);
+    return result;
+}
+
+/* Parse (operands..., relax), check the shapes against the first operand,
+   allocate the outputs and run the block with the GIL released.  Returns
+   (outputs..., norms), norms holding one row of m column norms per norm. */
+static PyObject *
+run_block(const struct block *b, PyObject *args)
+{
+    Py_buffer in[MAX_IN], outv[MAX_OUT + 1];
+    PyObject *outs[MAX_OUT + 1] = {NULL}, *result = NULL;
+    void *in_ptr[MAX_IN];
+    double *out_ptr[MAX_OUT + 1], *sum[MAX_SUMS], *scratch = NULL;
+    int n_in = 0, n_out = 0;
+    if (PyTuple_GET_SIZE(args) != b->n_in + 1) {
+        PyErr_Format(PyExc_TypeError, "%s() takes %d arguments (%zd given)", b->name,
+                     b->n_in + 1, PyTuple_GET_SIZE(args));
+        return NULL;
+    }
+    const double relax = PyFloat_AsDouble(PyTuple_GET_ITEM(args, b->n_in));
+    if (relax == -1.0 && PyErr_Occurred())
+        return NULL;
+    for (; n_in < b->n_in; n_in++) {
+        const struct operand *op = &b->in[n_in];
+        if (get_array(PyTuple_GET_ITEM(args, n_in), &in[n_in], op->name, op->ndim,
+                      op->fmt) < 0)
+            goto done;
+        in_ptr[n_in] = in[n_in].buf;
+    }
+    const Py_ssize_t rows = in[0].shape[0], m = in[0].shape[1];
+    for (int i = 1; i < b->n_in; i++) {
+        const struct operand *op = &b->in[i];
+        const Py_ssize_t *shape = in[i].shape;
+        if (op->ndim == 2 ? shape[0] != rows || shape[1] != m
+                          : shape[0] != (op->axis ? m : rows)) {
+            PyErr_Format(PyExc_ValueError, "%s(): %s does not match %s's shape (%zd, %zd)",
+                         b->name, op->name, b->in[0].name, rows, m);
+            goto done;
+        }
+    }
+    if (m == 1) {
+        result = numpy_twin(b, args);
+        goto done;
+    }
+    for (; n_out <= b->n_out; n_out++) {
+        outs[n_out] = new_matrix(n_out < b->n_out ? rows : b->n_norms, m, &outv[n_out]);
+        if (outs[n_out] == NULL)
+            goto done;
+        out_ptr[n_out] = outv[n_out].buf;
+    }
+    scratch = PyMem_RawCalloc((size_t)MAX_SUMS * m + 1, sizeof(double));
+    if (scratch == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (int r = 0; r < MAX_SUMS; r++)
+        sum[r] = scratch + r * m;
+    Py_BEGIN_ALLOW_THREADS
+    b->fn(rows, m, in_ptr, relax, out_ptr, sum);
+    for (int r = 0; r < b->n_norms; r++)
+        for (Py_ssize_t j = 0; j < m; j++)
+            out_ptr[b->n_out][r * m + j] = sqrt(sum[b->first_norm + r][j]);
+    Py_END_ALLOW_THREADS
+    result = PyTuple_New(b->n_out + 1);
+done:
+    PyMem_RawFree(scratch);
+    for (int i = 0; i < n_in; i++)
+        PyBuffer_Release(&in[i]);
+    for (int i = 0; i < n_out; i++) {
+        PyBuffer_Release(&outv[i]);
+        if (result != NULL)
+            PyTuple_SET_ITEM(result, i, outs[i]);
+        else
+            Py_DECREF(outs[i]);
+    }
+    return result;
+}
+
+static PyObject *
+admm_fit(PyObject *self, PyObject *args)
+{
+    return run_block(&fit, args);
+}
+
+static PyObject *
+admm_l1(PyObject *self, PyObject *args)
+{
+    return run_block(&l1, args);
+}
+
+#pragma GCC pop_options
+
 static PyMethodDef methods[] = {
     {"matmul", matmul, METH_VARARGS,
      "matmul(a, b) -> ndarray\n\nFixed-summation-order product of two 2-D "
      "C-contiguous float64 arrays."},
     {"relu", relu, METH_O,
      "relu(a) -> ndarray\n\nElementwise max(x, 0) of a 2-D C-contiguous float64 array."},
+    {"admm_fit", admm_fit, METH_VARARGS,
+     "admm_fit(au, zf, wf, yt, act, eps_fit, eps_slack, relax) -> (zf_new, wf_new, norms)"
+     "\n\nFit block of one pruner ADMM iteration; see ensyth._kernels.admm_fit."},
+    {"admm_l1", admm_l1, METH_VARARGS,
+     "admm_l1(u, zl, wl, xau, d_cache, d_new, wx, penalize, rho_col, relax) -> "
+     "(zl_new, wl_new, wx_new, norms)\n\nL1 block of one pruner ADMM iteration; "
+     "see ensyth._kernels.admm_l1."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ckernels",
-    "Compiled matmul/relu kernels, bit-identical to _pykernels.", -1, methods,
+    "Compiled kernels, bit-identical to _pykernels.", -1, methods,
 };
 
 PyMODINIT_FUNC

@@ -227,6 +227,15 @@ def _parse_grid(obj):
     return tuple(sections)
 
 
+def _check_per_layer(path, section, depth):
+    """Coefficient vectors must hold one value per weight layer."""
+    for name in ("l1", "l2", "dropout_keep"):
+        value = getattr(section, name)
+        if isinstance(value, tuple) and len(value) != depth:
+            raise ConfigError(f"{path}.{name}: expected a number or {depth} values, "
+                              f"one per layer, got {len(value)}")
+
+
 def parse_config(obj) -> ExperimentConfig:
     """Validate a parsed JSON document; unknown keys are rejected."""
     _require_keys(obj, "config", ("dataset", "network", "train", "grid"),
@@ -259,11 +268,22 @@ def parse_config(obj) -> ExperimentConfig:
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir: expected a string")
 
+    dataset = _parse_dataset(obj["dataset"], master_seed)
+    depth = len(layer_dims) - 1
+    train = _parse_train(obj["train"], master_seed)
+    _check_per_layer("train", train, depth)
+    # Grid vectors reach training only through fine-tuning; without it
+    # their length is never used.
+    grid = _parse_grid(obj["grid"])
+    for i, section in enumerate(grid):
+        if section.fine_tune_epochs > 0:
+            _check_per_layer(f"grid[{i}]", section, depth)
+
     return ExperimentConfig(
-        dataset=_parse_dataset(obj["dataset"], master_seed),
+        dataset=dataset,
         layer_dims=layer_dims,
-        train=_parse_train(obj["train"], master_seed),
-        grid=_parse_grid(obj["grid"]),
+        train=train,
+        grid=grid,
         elimination_split=elim["split"],
         bench=bench,
         output_dir=output_dir,

@@ -16,6 +16,13 @@ is always at least as L1-cheap as the baseline weights, which are
 themselves feasible: per neuron the best feasible candidate among
 {least-squares polish of the ADMM support, the ADMM iterate, the baseline
 column} wins.
+
+One ADMM iteration is four fixed-order matmuls and two fused kernels
+between them: ``_kernels.admm_fit`` (over-relaxation, projection onto the
+fit ball and slack bound, fit dual) and ``_kernels.admm_l1`` (soft
+threshold, L1 and ``X @ wf`` duals), each returning the column norms the
+stopping test needs.  Compaction, penalty balancing and the stopping test
+stay in Python.
 """
 
 from __future__ import annotations
@@ -193,16 +200,8 @@ def collect_layer_data(net: ReluNetwork, x) -> tuple:
     return tuple(out)
 
 
-def _soft_threshold(v, t):
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
 def _threshold(u):
     return np.where(np.abs(u) < ZERO_TOL, 0.0, u)
-
-
-def _column_norms(a):
-    return np.sqrt((a * a).sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -253,34 +252,17 @@ def _admm_iterate(x_in, yt, act, eps_fit, eps_slack, penalize,
         au = _kernels.matmul(xt, u)
         xau = _kernels.matmul(gram, u) - u     # X @ (X^T u) via the Gram matrix
 
-        au_r = relax * au + (1.0 - relax) * zf
-        u_r = relax * u + (1.0 - relax) * zl
-
-        vf = au_r + wf
-        dev = np.where(act, vf - yt, 0.0)
-        norms = _column_norms(dev)
-        scale = np.where(norms > eps_fit, eps_fit / np.maximum(norms, 1e-300), 1.0)
-        zf_new = np.where(act, yt + dev * scale,
-                          np.minimum(vf, eps_slack[np.newaxis, :]))
-
-        vl = u_r + wl
-        zl_new = np.where(penalize[:, np.newaxis],
-                          _soft_threshold(vl, 1.0 / rho_col[np.newaxis, :]), vl)
-
+        zf_new, wf, (r_fit, n_au, n_zf) = _kernels.admm_fit(
+            au, zf, wf, yt, act, eps_fit, eps_slack, relax)
         d_new = _kernels.matmul(x_in, zf_new)
+        zl_new, wl, wx, (r_l1, dual, n_u, n_zl, n_w) = _kernels.admm_l1(
+            u, zl, wl, xau, d_cache, d_new, wx, penalize, rho_col, relax)
 
-        pri = np.sqrt(_column_norms(au - zf_new) ** 2 + _column_norms(u - zl_new) ** 2)
-        dual_vec = rho_col[np.newaxis, :] * ((d_new - d_cache) + (zl_new - zl))
-        dual = _column_norms(dual_vec)
-
-        wf = wf + (au_r - zf_new)
-        wx = wx + ((relax * xau + (1.0 - relax) * d_cache) - d_new)
-        wl = wl + (u_r - zl_new)
-
-        mu_norm = np.sqrt(_column_norms(au) ** 2 + _column_norms(u) ** 2)
-        z_norm = np.sqrt(_column_norms(zf_new) ** 2 + _column_norms(zl_new) ** 2)
+        pri = np.sqrt(r_fit ** 2 + r_l1 ** 2)
+        mu_norm = np.sqrt(n_au ** 2 + n_u ** 2)
+        z_norm = np.sqrt(n_zf ** 2 + n_zl ** 2)
         pri_thresh = tol * np.maximum(np.maximum(mu_norm, z_norm), 1.0)
-        dual_thresh = tol * np.maximum(rho_col * _column_norms(wx + wl), 1.0)
+        dual_thresh = tol * np.maximum(rho_col * n_w, 1.0)
 
         zf, zl, d_cache = zf_new, zl_new, d_new
 
@@ -500,12 +482,10 @@ def _layer_report(layer_idx, u, x_in, x_out, active, eps_fit, hidden, w_aug, inf
     xt = np.ascontiguousarray(x_in.T)
     yt = np.ascontiguousarray(x_out.T)
     act = np.ascontiguousarray(active.T) if hidden else np.ones(yt.shape, dtype=bool)
-    response = _kernels.matmul(xt, u)
-    if hidden:
-        response = _kernels.relu(response)
+    raw = _kernels.matmul(xt, u)
+    response = _kernels.relu(raw) if hidden else raw
     residual = float(np.sqrt((np.where(act, response - yt, 0.0) ** 2).sum()))
     if hidden:
-        raw = _kernels.matmul(xt, u)
         over = np.where(~act, raw - info.eps_fit[np.newaxis, :], -np.inf)
         max_viol = float(max(over.max(initial=-np.inf), 0.0))
     else:

@@ -223,3 +223,22 @@ def reference_l1min(a, y, b, eps_fit, eps_slack, penalize, u0, subgrad_iters=200
         candidates.append(obj_g)
     candidates.append(_objective(u0, penalize))   # feasible by construction
     return min(candidates)
+
+
+def assert_same_bits(actual, expected):
+    """Every cell holds the same bytes, or both cells are NaN.
+
+    IEEE 754 leaves open which NaN an operation returns when it meets two
+    different NaNs, so bit identity between backends excludes such cells.
+    """
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype, \
+        (actual.shape, actual.dtype, expected.shape, expected.dtype)
+    cells = (actual.size, actual.itemsize)
+    same = (np.ascontiguousarray(actual).view(np.uint8).reshape(cells)
+            == np.ascontiguousarray(expected).view(np.uint8).reshape(cells)
+            ).all(axis=1).reshape(actual.shape)
+    both_nan = np.isnan(actual) & np.isnan(expected)
+    bad = np.argwhere(~(same | both_nan))
+    assert not len(bad), (f"{len(bad)} cells differ, first at {tuple(bad[0])}: "
+                          f"{actual[tuple(bad[0])]!r} != {expected[tuple(bad[0])]!r}")

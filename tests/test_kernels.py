@@ -1,12 +1,15 @@
 """Backend parity: the compiled and pure-Python kernels must agree bitwise."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from ensyth import _kernels
+from ensyth import _kernels, pruner
 from ensyth._kernels import _pykernels
 
-from _oracles import naive_matmul
+from _oracles import assert_same_bits, naive_matmul
 
 try:
     from ensyth._kernels import _ckernels as _installed_ckernels
@@ -92,6 +95,150 @@ def test_relu_backends_bitwise_equal(ckernels):
     compiled = ckernels.relu(np.ascontiguousarray(a))
     fallback = _pykernels.relu(a)
     assert compiled.tobytes() == fallback.tobytes()
+
+
+def _signed_zeros(rng, a, share):
+    """a with a share of its cells set to +0.0 or -0.0."""
+    hit = rng.random(a.shape) < share
+    a[hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
+    return a
+
+
+def _fit_args(rng, p, m, act, eps_fit, share):
+    """admm_fit operands: au, zf, wf, yt, act, eps_fit, eps_slack, relax."""
+    arrays = [_signed_zeros(rng, rng.normal(size=(p, m)), share) for _ in range(4)]
+    eps_slack = _signed_zeros(rng, rng.normal(size=m), share)
+    return (*arrays, act, eps_fit, eps_slack, 1.6)
+
+
+def _l1_args(rng, d, m, penalize, share, at_threshold):
+    """admm_l1 operands: u, zl, wl, xau, d_cache, d_new, wx, penalize,
+    rho_col, relax.  With at_threshold, u = zl = 0 and wl holds +-1/rho or
+    +-0, so the soft threshold lands exactly on zero."""
+    rho = np.where(rng.random(m) < 0.5, 2.0 ** rng.integers(-13, 14, m),
+                   rng.uniform(1e-4, 1e4, m))
+    arrays = [_signed_zeros(rng, rng.normal(size=(d, m)), share) for _ in range(7)]
+    if at_threshold:
+        arrays[0][:] = 0.0
+        arrays[1][:] = -0.0
+        arrays[2] = rng.choice([-1.0, 1.0, 0.0, -0.0], size=(d, m)) / rho
+    return (*arrays, penalize, rho, 1.6)
+
+
+def _assert_outputs_equal(compiled, fallback, label):
+    assert len(compiled) == len(fallback), label
+    for i, (c, f) in enumerate(zip(compiled, fallback)):
+        assert c.shape == f.shape and c.dtype == f.dtype, (label, i)
+        assert c.tobytes() == f.tobytes(), (label, i)
+
+
+def test_admm_kernels_backends_bitwise_equal(ckernels):
+    """Every output byte of both fused ADMM blocks matches the numpy twin:
+    row counts around numpy's pairwise-sum blocks (m = 1), odd m (whose last
+    column pair overlaps), all-active and all-inactive columns, eps_fit = 0
+    and signed zeros."""
+    rng = np.random.default_rng(6)
+    for p, m, share in itertools.product((1, 7, 8, 9, 33, 128, 129, 2000),
+                                         (1, 2, 3, 5, 32), (0.1, 0.6)):
+        mixed = rng.random((p, m)) < 0.6
+        mixed[:, 0] = True                 # an all-active column
+        mixed[:, -1] = False               # an all-inactive one
+        eps_fit = rng.uniform(0.0, 2.0, m) * np.sqrt(p)
+        eps_fit[0] = 0.0
+        cases = [(mixed, eps_fit), (np.ones((p, m), dtype=bool), np.zeros(m)),
+                 (np.zeros((p, m), dtype=bool), np.zeros(m))]
+        for act, eps in cases:
+            args = _fit_args(rng, p, m, act, eps, share)
+            _assert_outputs_equal(ckernels.admm_fit(*args), _pykernels.admm_fit(*args),
+                                  ("fit", p, m, share))
+        penalize = rng.random(p) < 0.9
+        penalize[-1] = False               # the unpenalized bias row
+        for pen, at_threshold in ((penalize, False), (np.ones(p, dtype=bool), True)):
+            args = _l1_args(rng, p, m, pen, share, at_threshold)
+            _assert_outputs_equal(ckernels.admm_l1(*args), _pykernels.admm_l1(*args),
+                                  ("l1", p, m, share, at_threshold))
+
+
+def test_compiled_admm_kernels_reject_bad_operands(ckernels):
+    rng = np.random.default_rng(7)
+    args = list(_fit_args(rng, 6, 3, np.ones((6, 3), dtype=bool), np.ones(3), 0.1))
+    for i, bad in ((1, np.zeros((6, 4))), (4, np.ones((6, 3))), (5, np.ones(4)),
+                   (2, np.zeros((3, 6)).T)):
+        with pytest.raises((ValueError, TypeError)):
+            ckernels.admm_fit(*args[:i], bad, *args[i + 1:])
+    with pytest.raises(TypeError):
+        ckernels.admm_fit(*args[:-1])
+    args = list(_l1_args(rng, 5, 3, np.ones(5, dtype=bool), 0.1, False))
+    for i, bad in ((7, np.ones(3, dtype=bool)), (8, np.ones(5)), (6, np.zeros(15))):
+        with pytest.raises((ValueError, TypeError)):
+            ckernels.admm_l1(*args[:i], bad, *args[i + 1:])
+
+
+def _special_dense(rng, shape):
+    """Values drawn mostly from NaNs of both signs and two payloads, +-inf
+    and +-0.0."""
+    payload = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+    pool = np.array([np.nan, -np.nan, payload, np.inf, -np.inf, 0.0, -0.0, 1.0, -2.5])
+    a = rng.normal(size=shape)
+    hit = rng.random(shape) < 0.6
+    a[hit] = rng.choice(pool, size=int(hit.sum()))
+    return a
+
+
+def test_kernels_agree_on_nan_dense_inputs(ckernels):
+    """Dense NaN, +-inf and +-0.0 inputs give the same bits on both
+    backends, except for which NaN a cell that meets two NaNs ends with."""
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        rows, k, m = (int(v) for v in rng.integers(1, 12, size=3))
+        if rng.random() < 0.2:
+            rows = int(rng.choice([40, 150]))
+        a, b = _special_dense(rng, (rows, k)), _special_dense(rng, (k, m))
+        act = rng.random((rows, m)) < 0.5
+        fit = (*(_special_dense(rng, (rows, m)) for _ in range(4)), act,
+               _special_dense(rng, m), _special_dense(rng, m), 1.6)
+        l1 = (*(_special_dense(rng, (rows, m)) for _ in range(7)),
+              rng.random(rows) < 0.8, _special_dense(rng, m), 1.6)
+        with np.errstate(all="ignore"):
+            assert_same_bits(ckernels.matmul(a, b), _pykernels.matmul(a, b))
+            assert_same_bits(ckernels.relu(a), _pykernels.relu(a))
+            for c, f in itertools.chain(zip(ckernels.admm_fit(*fit), _pykernels.admm_fit(*fit)),
+                                        zip(ckernels.admm_l1(*l1), _pykernels.admm_l1(*l1))):
+                assert_same_bits(c, f)
+
+
+@pytest.mark.parametrize("layer, eps", [(0, 0.3), (1, 0.02)])
+def test_solve_layer_backends_bitwise_equal(ckernels, monkeypatch, trained_fixture,
+                                            layer, eps):
+    """A hidden and an output layer solve give the same ADMM iterate and
+    layer on both backends, through iterations whose working set is a single
+    column (summed pairwise by numpy)."""
+    net = trained_fixture["net"]
+    ld = pruner.collect_layer_data(net, trained_fixture["train"].features)[layer]
+    w_aug = np.concatenate([net.weights[layer], net.biases[layer][np.newaxis, :]], axis=0)
+    admm_iterate = pruner._admm_iterate
+    results = []
+    for impl in (ckernels, _pykernels):
+        widths, iterates = [], []
+
+        def admm_fit(au, *rest, _fit=impl.admm_fit):
+            widths.append(au.shape[1])
+            return _fit(au, *rest)
+
+        def recorded_iterate(*args, **kwargs):
+            out = admm_iterate(*args, **kwargs)
+            iterates.append(out[0].tobytes())
+            return out
+
+        monkeypatch.setattr(_kernels, "_impl", SimpleNamespace(
+            matmul=impl.matmul, relu=impl.relu, admm_fit=admm_fit, admm_l1=impl.admm_l1))
+        monkeypatch.setattr(pruner, "_admm_iterate", recorded_iterate)
+        u, info = pruner._solve_layer(w_aug, ld.x_in.data, ld.x_out.data,
+                                      ld.active_mask, eps, layer < net.depth - 1)
+        assert 1 in widths and len(ld.x_in.data[0]) > 128
+        results.append((iterates, u.tobytes(), info.eps_fit.tobytes(),
+                        info.fallback_neurons, info.iterations, info.converged))
+    assert results[0] == results[1]
 
 
 def test_matmul_matches_triple_loop_bitwise():

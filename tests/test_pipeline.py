@@ -74,6 +74,40 @@ class TestConfigParsing:
         eps = [c.epsilon_gain for c in cfg.grid_configs]
         assert eps == [0.05, 0.2, 0.5]
 
+    def test_mismatched_train_vector_is_config_error(self, tmp_path):
+        """Per-layer train coefficients must give one value per weight layer,
+        or parsing fails before anything is trained."""
+        for key in ("l1", "l2", "dropout_keep"):
+            cfg = minimal_config()
+            cfg["train"][key] = [0.5, 0.5, 0.5]          # the network has 2 layers
+            with pytest.raises(ConfigError, match=rf"train\.{key}: .* got 3"):
+                parse_config(cfg)
+        cfg["train"]["dropout_keep"] = [1, 0.5]
+        parse_config(cfg)
+        path = write_config(tmp_path, minimal_config(
+            train={"epochs": 1, "batch_size": 4, "learning_rate": 0.1, "l2": [0.1]}))
+        code = cli.main(["-c", str(path), "-o", str(tmp_path / "o"), "run"])
+        assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    def test_mismatched_fine_tune_vector_is_config_error(self, tmp_path):
+        """A grid vector reaches training only through fine-tuning: with
+        fine_tune_epochs > 0 its length must match the network depth, and
+        without fine-tuning any length parses (configs/full_grid.json)."""
+        cfg = minimal_config()
+        cfg["grid"] = [{"epsilons": [0.1], "l2": [0, 0, 0.004, 0.004, 0],
+                        "fine_tune_epochs": 2}]
+        with pytest.raises(ConfigError, match=r"grid\[0\]\.l2: .* got 5"):
+            parse_config(cfg)
+        path = write_config(tmp_path, cfg)
+        code = cli.main(["-c", str(path), "-o", str(tmp_path / "o"), "run"])
+        assert code == cli.EXIT_CONFIG
+        cfg["grid"][0]["fine_tune_epochs"] = 0
+        parse_config(cfg)
+        full = load_config(os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "configs", "full_grid.json"))
+        assert {s.fine_tune_epochs for s in full.grid} == {0}
+
     def test_child_seed_stable(self):
         assert child_seed(5, "train") == child_seed(5, "train")
         assert child_seed(5, "train") != child_seed(5, "init")
@@ -205,21 +239,6 @@ class TestMinimalRun:
         with pytest.raises(StageError, match="data"):
             run_pipeline(str(path), str(tmp_path / "out"))
 
-    def test_mismatched_fine_tune_vector_is_pool_stage_error(self, tmp_path):
-        """A per-layer coefficient vector whose length does not match the
-        network depth only surfaces once fine-tuning runs; it must still be
-        reported as a pool-stage failure."""
-        from ensyth.errors import StageError
-        cfg = minimal_config()
-        cfg["grid"] = [{"epsilons": [0.1], "l2": [0, 0, 0.004, 0.004, 0],
-                        "fine_tune_epochs": 2}]
-        path = write_config(tmp_path, cfg)
-        with pytest.raises(StageError, match="pool"):
-            run_pipeline(str(path), str(tmp_path / "out"))
-        code = cli.main(["-c", str(path), "-o", str(tmp_path / "o2"), "run"])
-        assert code == cli.EXIT_STAGE
-
-
 class TestSvgRendering:
     def test_byte_stable(self):
         svg1 = render_accuracy_svg([3, 2, 1], [0.8, 0.9, 0.7], 0.85)
@@ -257,29 +276,20 @@ class TestBench:
 
 
 class TestCrossBackend:
-    def test_fallback_kernels_reproduce_digests(self, tmp_path):
+    def test_fallback_kernels_reproduce_digests(self, tmp_path, ckernels, monkeypatch):
         """A pipeline run under the pure-Python kernels must produce the
-        same bundle digests as the compiled backend."""
-        import subprocess
-        import sys
-        try:
-            from ensyth._kernels import _ckernels  # noqa: F401
-        except ImportError:
-            pytest.skip("compiled kernels not built")
+        same bundle digests as under the compiled ones."""
+        from ensyth import _kernels
+        from ensyth._kernels import _pykernels
         cfg = minimal_config()
         cfg["bench"] = {"repeats": 1, "batch_size": 4}
         path = write_config(tmp_path, cfg)
-        out_native = tmp_path / "native"
-        run_pipeline(str(path), str(out_native))
-        out_py = tmp_path / "pyback"
-        env = dict(os.environ, ENSYTH_KERNELS="python")
-        proc = subprocess.run(
-            [sys.executable, "-m", "ensyth.cli", "-c", str(path),
-             "-o", str(out_py), "run"],
-            env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        a = json.loads((out_native / "summary.json").read_text())
-        b = json.loads((out_py / "summary.json").read_text())
+        summaries = []
+        for name, impl in (("compiled", ckernels), ("python", _pykernels)):
+            monkeypatch.setattr(_kernels, "_impl", impl)
+            run_pipeline(str(path), str(tmp_path / name))
+            summaries.append(json.loads((tmp_path / name / "summary.json").read_text()))
+        a, b = summaries
         assert a["baseline_digest"] == b["baseline_digest"]
         assert a["member_digests"] == b["member_digests"]
         assert a["best_ensemble_accuracy"] == b["best_ensemble_accuracy"]
