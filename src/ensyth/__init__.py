@@ -15,14 +15,13 @@ from .ensemble import (
     VoteMatrix,
     backward_eliminate,
     best_ensemble,
-    default_grid,
     ensemble_accuracy,
     generate_pool,
     plurality_vote,
     predict_parallel,
     vote_matrix,
 )
-from .metrics import ModelMetrics, bundle_size, param_count, sparsity, timed_inference
+from .metrics import bundle_size, param_count, sparsity, timed_inference
 from .network import Activations, ReluNetwork, TrainConfig, forward, masked_train, predict, train
 from .pool_store import bundle_digest, load_bundle, save_bundle
 from .pruner import PruneConfig, PrunedModel, collect_layer_data, prune_layer, prune_network
@@ -32,10 +31,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activations", "ArrayRecord", "Dataset", "DenseMatrix", "EliminationTrace",
-    "Ensemble", "KERNEL_BACKEND", "ModelMetrics", "ModelPool", "PruneConfig",
+    "Ensemble", "KERNEL_BACKEND", "ModelPool", "PruneConfig",
     "PrunedModel", "ReluNetwork", "SparseMatrix", "SplitSpec", "TrainConfig",
     "VoteMatrix", "backward_eliminate", "best_ensemble", "bundle_digest",
-    "bundle_size", "collect_layer_data", "decode_array", "default_grid",
+    "bundle_size", "collect_layer_data", "decode_array",
     "encode_array", "ensemble_accuracy", "forward", "generate_pool", "load_bundle",
     "load_csv", "load_idx", "masked_train", "matmul", "param_count",
     "plurality_vote", "predict", "predict_parallel", "prune_layer",

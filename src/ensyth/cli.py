@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages: ``run`` executes everything;
-``train``, ``pool``, ``eliminate``, ``bench`` and ``report`` resume from
-the artifacts an earlier stage left in the output directory.  Exit codes:
-0 success, 2 config error, 3 stage failure.
+``train``, ``pool``, ``eliminate``, ``bench`` and ``report`` each load the
+artifacts an earlier stage left in the output directory and call the same
+stage function ``run`` does.  Exit codes: 0 success, 2 config error,
+3 stage failure.
 """
 
 from __future__ import annotations
@@ -13,33 +14,27 @@ import json
 import os
 import sys
 
-from .ensemble import (
-    ModelPool,
-    backward_eliminate,
-    best_ensemble,
-    generate_pool,
-    read_trace_csv,
-    vote_matrix,
-)
+from .ensemble import read_trace_csv
 from .errors import ConfigError, EnsythError, StageError
-from .metrics import bundle_size, param_count, sparsity
-from .network import ReluNetwork, predict, train
 from .pipeline import (
     BASELINE_BUNDLE,
     METRICS_CSV,
     POOL_DIR,
     SUMMARY_JSON,
     TRACE_CSV,
-    MetricsRow,
-    bench_command,
-    build_dataset,
-    child_seed,
-    emit_report,
+    StoredModel,
+    bench_stage,
+    data_stage,
+    eliminate_stage,
     load_config,
+    pool_stage,
     read_metrics_csv,
+    report_stage,
+    resolve_config,
     run_pipeline,
+    train_stage,
 )
-from .pool_store import load_bundle, save_bundle
+from .pool_store import BUNDLE_SUFFIX, load_bundle
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,140 +70,79 @@ def _build_parser():
     return parser
 
 
-def _load(args):
-    cfg = load_config(args.config, master_seed=args.seed)
-    out_dir = args.out or cfg.output_dir
-    if out_dir is None:
-        raise ConfigError("output_dir: missing (set it in the config or pass -o)")
-    os.makedirs(out_dir, exist_ok=True)
-    return cfg, out_dir
+def _artifact(cfg, name, stage, producer):
+    path = os.path.join(cfg.output_dir, name)
+    if not os.path.exists(path):
+        raise StageError(stage, f"{path} not found; run the {producer} stage first")
+    return path
 
 
-def _eval_split(cfg, args, train_ds, val_ds, test_ds):
-    name = args.elimination_split or cfg.elimination_split
-    ds = val_ds if name == "val" else test_ds
-    if ds is None:
-        raise StageError("eliminate", f"the {name} split is empty")
-    return name, ds
+def _stored(path):
+    model, _, digest = load_bundle(path)
+    return StoredModel(model, digest, path)
 
 
-def _load_pool(cfg, out_dir, parent_hash):
-    pool_dir = os.path.join(out_dir, POOL_DIR)
-    if not os.path.isdir(pool_dir):
-        raise StageError("eliminate", f"{pool_dir} not found; run the pool stage first")
-    paths = sorted(os.path.join(pool_dir, n) for n in os.listdir(pool_dir)
-                   if n.endswith(".ezip"))
-    members = [load_bundle(p)[0] for p in paths]
-    return ModelPool(members=tuple(members), baseline_ref=parent_hash,
-                     grid_manifest=tuple(m.config for m in members))
+def _baseline(cfg, stage):
+    return _stored(_artifact(cfg, BASELINE_BUNDLE, stage, "train"))
 
 
-def _cmd_train(cfg, out_dir, args):
-    train_ds, _, _ = build_dataset(cfg.dataset)
-    init_net = ReluNetwork.initialize(cfg.layer_dims, child_seed(cfg.master_seed, "init"))
-    baseline = train(init_net, train_ds, cfg.train)
-    path = os.path.join(out_dir, BASELINE_BUNDLE)
-    digest = save_bundle(baseline, path, train_config=cfg.train)
-    print(f"baseline -> {path}")
-    print(f"digest {digest}")
+def _members(cfg, stage):
+    pool_dir = _artifact(cfg, POOL_DIR, stage, "pool")
+    return [_stored(os.path.join(pool_dir, name)) for name in sorted(os.listdir(pool_dir))
+            if name.endswith(BUNDLE_SUFFIX)]
+
+
+def _cmd_train(cfg, args):
+    baseline = train_stage(cfg, data_stage(cfg)[0])
+    print(f"baseline -> {baseline.path}")
+    print(f"digest {baseline.digest}")
     return EXIT_OK
 
 
-def _cmd_pool(cfg, out_dir, args):
-    train_ds, _, _ = build_dataset(cfg.dataset)
-    baseline_path = os.path.join(out_dir, BASELINE_BUNDLE)
-    if not os.path.exists(baseline_path):
-        raise StageError("pool", f"{baseline_path} not found; run the train stage first")
-    baseline, _, digest = load_bundle(baseline_path)
-    pool = generate_pool(baseline, cfg.grid_configs, train_ds,
-                         train_template=cfg.train, parent_hash=digest,
-                         workers=args.workers)
-    pool_dir = os.path.join(out_dir, POOL_DIR)
-    os.makedirs(pool_dir, exist_ok=True)
-    for i, member in enumerate(pool.members):
-        save_bundle(member, os.path.join(pool_dir, f"model_{i:03d}.ezip"))
-    print(f"pool of {len(pool)} -> {pool_dir}")
+def _cmd_pool(cfg, args):
+    train_ds = data_stage(cfg)[0]
+    members = pool_stage(cfg, train_ds, _baseline(cfg, "pool"), workers=args.workers)
+    print(f"pool of {len(members)} -> {os.path.join(cfg.output_dir, POOL_DIR)}")
     return EXIT_OK
 
 
-def _cmd_eliminate(cfg, out_dir, args):
-    train_ds, val_ds, test_ds = build_dataset(cfg.dataset)
-    baseline_path = os.path.join(out_dir, BASELINE_BUNDLE)
-    if not os.path.exists(baseline_path):
-        raise StageError("eliminate",
-                         f"{baseline_path} not found; run the train stage first")
-    baseline, _, digest = load_bundle(baseline_path)
-    pool = _load_pool(cfg, out_dir, digest)
-    split_name, eval_ds = _eval_split(cfg, args, train_ds, val_ds, test_ds)
-    votes = vote_matrix(pool, eval_ds.features, workers=args.workers)
-    trace = backward_eliminate(pool, votes, eval_ds.labels)
-    best = best_ensemble(trace)
-    baseline_acc = float((predict(baseline, eval_ds.features) == eval_ds.labels).mean())
+def _cmd_eliminate(cfg, args):
+    splits = data_stage(cfg)
+    eliminate_stage(cfg, splits, _baseline(cfg, "eliminate"), _members(cfg, "eliminate"),
+                    workers=args.workers)
+    return _print_summary(cfg)
 
-    rows = [MetricsRow(model_id="baseline", set_id="", epsilon=None,
-                       accuracy=baseline_acc, params=param_count(baseline),
-                       sparsity=sparsity(baseline), bundle_bytes=bundle_size(baseline))]
-    for i, member in enumerate(pool.members):
-        acc = float((votes.labels[i] == eval_ds.labels).mean())
-        rows.append(MetricsRow(model_id=str(i), set_id=member.config.set_id,
-                               epsilon=member.config.epsilon_gain, accuracy=acc,
-                               params=param_count(member), sparsity=sparsity(member),
-                               bundle_bytes=bundle_size(member)))
-    emit_report(trace, rows, out_dir)
-    summary = {
-        "elimination_split": split_name,
-        "baseline_accuracy": baseline_acc,
-        "baseline_digest": digest,
-        "pool_size": len(pool),
-        "best_ensemble_member_ids": list(best.member_ids),
-        "best_ensemble_accuracy": best.accuracy,
-        "best_ensemble_size": len(best),
-    }
-    with open(os.path.join(out_dir, SUMMARY_JSON), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    print(f"best ensemble: {list(best.member_ids)} accuracy {best.accuracy:.6f} "
-          f"(baseline {baseline_acc:.6f})")
+
+def _cmd_bench(cfg, args):
+    splits = data_stage(cfg)
+    models = [s.model for s in [_baseline(cfg, "bench")] + _members(cfg, "bench")]
+    rows = read_metrics_csv(_artifact(cfg, METRICS_CSV, "bench", "eliminate"))
+    for row in bench_stage(cfg, splits, models, rows):
+        print(f"model {row.model_id}: {row.cpu_us_mean:.1f} us")
     return EXIT_OK
 
 
-def _cmd_bench(cfg, out_dir, args):
-    train_ds, val_ds, test_ds = build_dataset(cfg.dataset)
-    _, eval_ds = _eval_split(cfg, args, train_ds, val_ds, test_ds)
-    pool_dir = os.path.join(out_dir, POOL_DIR)
-    results = bench_command(pool_dir, eval_ds, repeats=cfg.bench.repeats,
-                            batch=cfg.bench.batch_size,
-                            sample_seed=cfg.bench.sample_seed,
-                            metrics_csv=os.path.join(out_dir, METRICS_CSV))
-    for i, t in enumerate(results):
-        print(f"model {i}: {t.mean_us:.1f} us")
+def _cmd_report(cfg, args):
+    trace = read_trace_csv(_artifact(cfg, TRACE_CSV, "report", "eliminate"))
+    rows = read_metrics_csv(_artifact(cfg, METRICS_CSV, "report", "eliminate"))
+    print(f"report -> {report_stage(cfg, trace, rows)}")
     return EXIT_OK
 
 
-def _cmd_report(cfg, out_dir, args):
-    trace_path = os.path.join(out_dir, TRACE_CSV)
-    metrics_path = os.path.join(out_dir, METRICS_CSV)
-    for path in (trace_path, metrics_path):
-        if not os.path.exists(path):
-            raise StageError("report", f"{path} not found; run eliminate first")
-    trace = read_trace_csv(trace_path)
-    rows = read_metrics_csv(metrics_path)
-    paths = emit_report(trace, rows, out_dir)
-    print(f"report -> {paths['svg']}")
-    return EXIT_OK
-
-
-def _cmd_run(cfg, out_dir, args):
-    artifacts = run_pipeline(cfg, out_dir, workers=args.workers,
-                             elimination_split=args.elimination_split)
-    with open(artifacts["summary"], encoding="utf-8") as fh:
+def _print_summary(cfg):
+    with open(os.path.join(cfg.output_dir, SUMMARY_JSON), encoding="utf-8") as fh:
         summary = json.load(fh)
     print(f"baseline accuracy {summary['baseline_accuracy']:.6f}")
     print(f"best ensemble {summary['best_ensemble_member_ids']} "
           f"accuracy {summary['best_ensemble_accuracy']:.6f} "
           f"({summary['best_ensemble_size']} members)")
-    print(f"artifacts in {out_dir}")
+    print(f"artifacts in {cfg.output_dir}")
     return EXIT_OK
+
+
+def _cmd_run(cfg, args):
+    run_pipeline(cfg, workers=args.workers)
+    return _print_summary(cfg)
 
 
 _COMMANDS = {
@@ -225,12 +159,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg, out_dir = _load(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](cfg, out_dir, args)
+        cfg = resolve_config(load_config(args.config, master_seed=args.seed),
+                             args.out, args.elimination_split)
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -240,7 +171,6 @@ def main(argv=None) -> int:
     except (EnsythError, ValueError, OSError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_STAGE
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -20,29 +20,7 @@ from .data import Dataset
 from .errors import ShapeError
 from .metrics import param_count
 from .network import ReluNetwork, TrainConfig, predict
-from .pruner import PruneConfig, prune_network
-
-# Epsilon grid shared by all three hyperparameter sets.
-TABLE1_EPSILONS = (0.01, 0.02, 0.04, 0.06, 0.08, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
-
-# (set_id, l1, l2, dropout_keep) rows of the stock 3 x 12 grid.  The
-# per-layer vectors are recorded verbatim; they only apply when fine-tuning
-# a network whose depth matches their length.
-TABLE1_SETS = (
-    ("set1", 0.0, 1.0, 1.0),
-    ("set2", 0.0, (0.0, 0.0, 0.004, 0.004, 0.0), 1.0),
-    ("set3", 0.0, (0.0, 0.0, 0.004, 0.004, 0.004), 0.5),
-)
-
-
-def default_grid(fine_tune_epochs=0) -> tuple:
-    """The stock 36-config grid: 3 hyperparameter sets x 12 epsilon values."""
-    return tuple(
-        PruneConfig(epsilon_gain=eps, l1=l1, l2=l2, dropout_keep=keep,
-                    fine_tune_epochs=fine_tune_epochs, set_id=set_id)
-        for set_id, l1, l2, keep in TABLE1_SETS
-        for eps in TABLE1_EPSILONS
-    )
+from .pruner import prune_network
 
 
 @dataclass(frozen=True)

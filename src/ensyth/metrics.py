@@ -19,21 +19,6 @@ PARAM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ModelMetrics:
-    params: int
-    sparsity: float
-    bundle_bytes: int
-    cpu_us: float
-    accuracy: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.sparsity <= 1.0:
-            raise ValueError("sparsity must lie in [0, 1]")
-        if self.cpu_us < 0:
-            raise ValueError("cpu_us must be >= 0")
-
-
-@dataclass(frozen=True)
 class TimingResult:
     """Mean wall time per prediction run, in microseconds.
 

@@ -1,10 +1,14 @@
 """Config-driven experiment pipeline and report emission.
 
 A JSON config describes dataset, network, training, the pruning grid,
-elimination split, and benchmark settings.  ``run_pipeline`` executes
-train -> pool -> eliminate -> bench -> report and writes: the baseline
+elimination split, and benchmark settings.  The pipeline is a fixed chain
+of stage functions, each implemented once here: ``data_stage``,
+``train_stage``, ``pool_stage``, ``eliminate_stage``, ``bench_stage`` and
+``report_stage``.  ``run_pipeline`` composes them and writes: the baseline
 bundle, one bundle per pool member, ``pool_metrics.csv``,
 ``elimination_trace.csv``, ``summary.json`` and ``accuracy_vs_size.svg``.
+The CLI subcommands call the same stages one at a time, so a stagewise run
+writes the same artifacts as ``run``, apart from the ``cpu_us_*`` columns.
 Everything except the cpu_us measurements is deterministic given the
 master seed.
 """
@@ -15,13 +19,14 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset, SplitSpec, load_csv, load_idx, split, subset_classes, synth_blobs
 from .ensemble import (
     EliminationTrace,
+    ModelPool,
     backward_eliminate,
     best_ensemble,
     generate_pool,
@@ -29,9 +34,9 @@ from .ensemble import (
     write_trace_csv,
 )
 from .errors import ConfigError, EnsythError, StageError
-from .metrics import bundle_size, param_count, sparsity, timed_inference
+from .metrics import param_count, sparsity, timed_inference
 from .network import ReluNetwork, TrainConfig, predict, train
-from .pool_store import load_bundle, save_bundle
+from .pool_store import save_bundle
 from .pruner import PruneConfig
 
 METRICS_CSV = "pool_metrics.csv"
@@ -456,22 +461,17 @@ def render_accuracy_svg(sizes, accuracies, baseline_accuracy) -> str:
 
 
 def emit_report(trace: EliminationTrace, metrics_rows, out_dir):
-    """Write the trace CSV, the pool metrics CSV, and the accuracy SVG."""
+    """Write the accuracy SVG, with the baseline row's accuracy as reference
+    line; returns its path."""
     baseline_rows = [r for r in metrics_rows if r.model_id == "baseline"]
     if not baseline_rows:
         raise ValueError("metrics rows must include the baseline row")
-    baseline_acc = baseline_rows[0].accuracy
-    write_trace_csv(trace, os.path.join(out_dir, TRACE_CSV))
-    write_metrics_csv(metrics_rows, os.path.join(out_dir, METRICS_CSV))
     sizes = [len(s.member_ids) for s in trace.steps]
     accs = [s.accuracy for s in trace.steps]
-    svg = render_accuracy_svg(sizes, accs, baseline_acc)
     svg_path = os.path.join(out_dir, REPORT_SVG)
     with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    return {"trace_csv": os.path.join(out_dir, TRACE_CSV),
-            "metrics_csv": os.path.join(out_dir, METRICS_CSV),
-            "svg": svg_path}
+        fh.write(render_accuracy_svg(sizes, accs, baseline_rows[0].accuracy))
+    return svg_path
 
 
 def bench_pool(models, batch_features, repeats=9):
@@ -486,145 +486,194 @@ def _sample_batch(dataset: Dataset, batch_size, sample_seed):
     return np.ascontiguousarray(dataset.features.data[:, idx])
 
 
-def run_pipeline(config: ExperimentConfig | str, out_dir=None, *,
-                 workers: int = 1, elimination_split: str | None = None,
-                 master_seed: int | None = None, run_bench: bool = True) -> dict:
-    """Execute the full pipeline; returns a dict of artifact paths."""
-    if isinstance(config, (str, os.PathLike)):
-        config = load_config(config, master_seed=master_seed)
-    elif master_seed is not None:
-        raise ConfigError("master_seed override requires a config path")
+# --- the pipeline stages ----------------------------------------------------
+#
+# Every stage takes the resolved config first, then the outputs of earlier
+# stages; it returns its own outputs, wraps its failures in StageError and
+# writes its own artifacts into ``config.output_dir``.  ``run_pipeline``
+# hands the outputs from stage to stage in memory; each CLI subcommand loads
+# them from the artifacts earlier stages left in the output directory.
+
+
+@dataclass(frozen=True)
+class StoredModel:
+    """A model and the bundle file it was written to."""
+
+    model: object
+    digest: str
+    path: str
+
+
+def resolve_config(config: ExperimentConfig, out_dir=None,
+                   elimination_split=None) -> ExperimentConfig:
+    """Apply the caller's output directory and elimination split over the
+    config's own, and create the output directory."""
     out_dir = out_dir or config.output_dir
     if out_dir is None:
         raise ConfigError("output_dir: missing (set it in the config or pass -o)")
     os.makedirs(out_dir, exist_ok=True)
-    split_name = elimination_split or config.elimination_split
+    return replace(config, output_dir=out_dir,
+                   elimination_split=elimination_split or config.elimination_split)
 
-    # data
+
+def _out(config, name):
+    return os.path.join(config.output_dir, name)
+
+
+def _eval_split(config, splits, stage):
+    _, val_ds, test_ds = splits
+    eval_ds = val_ds if config.elimination_split == "val" else test_ds
+    if eval_ds is None:
+        raise StageError(stage, f"the {config.elimination_split} split is empty")
+    return eval_ds
+
+
+def data_stage(config):
+    """Build the (train, val, test) splits and check them against the network."""
     try:
-        train_ds, val_ds, test_ds = build_dataset(config.dataset)
+        splits = build_dataset(config.dataset)
     except (EnsythError, ValueError, OSError) as exc:
         raise StageError("data", str(exc)) from exc
+    train_ds = splits[0]
     if config.layer_dims[0] != train_ds.feature_dim:
         raise StageError("data", f"network.layer_dims[0]={config.layer_dims[0]} "
                                  f"but dataset dim is {train_ds.feature_dim}")
     if config.layer_dims[-1] < train_ds.class_count:
         raise StageError("data", f"network.layer_dims[-1]={config.layer_dims[-1]} "
                                  f"but dataset has {train_ds.class_count} classes")
+    return splits
 
-    # train
+
+def train_stage(config, train_ds) -> StoredModel:
+    """Train the baseline and write ``baseline.ezip``."""
     try:
         init_net = ReluNetwork.initialize(config.layer_dims,
                                           child_seed(config.master_seed, "init"))
         baseline = train(init_net, train_ds, config.train)
     except (EnsythError, ValueError) as exc:
         raise StageError("train", str(exc)) from exc
-    baseline_path = os.path.join(out_dir, BASELINE_BUNDLE)
-    baseline_digest = save_bundle(baseline, baseline_path,
-                                  train_config=config.train)
+    path = _out(config, BASELINE_BUNDLE)
+    return StoredModel(baseline, save_bundle(baseline, path, train_config=config.train),
+                       path)
 
-    # pool
+
+def pool_stage(config, train_ds, baseline: StoredModel, workers=1) -> list:
+    """Prune the baseline once per grid config and write ``pool/model_NNN.ezip``."""
     try:
-        pool = generate_pool(baseline, config.grid_configs, train_ds,
+        pool = generate_pool(baseline.model, config.grid_configs, train_ds,
                              train_template=config.train,
-                             parent_hash=baseline_digest, workers=workers)
+                             parent_hash=baseline.digest, workers=workers)
     except (EnsythError, ValueError) as exc:
         raise StageError("pool", str(exc)) from exc
-    pool_dir = os.path.join(out_dir, POOL_DIR)
+    pool_dir = _out(config, POOL_DIR)
     os.makedirs(pool_dir, exist_ok=True)
-    member_digests = []
-    member_paths = []
+    members = []
     for i, member in enumerate(pool.members):
         path = os.path.join(pool_dir, f"model_{i:03d}.ezip")
-        member_digests.append(save_bundle(member, path))
-        member_paths.append(path)
+        members.append(StoredModel(member, save_bundle(member, path), path))
+    return members
 
-    # eliminate
-    eval_ds = val_ds if split_name == "val" else test_ds
-    if eval_ds is None:
-        raise StageError("eliminate", f"the {split_name} split is empty")
+
+def eliminate_stage(config, splits, baseline: StoredModel, members, workers=1):
+    """Vote the pool on the elimination split and run backward elimination.
+
+    Writes ``elimination_trace.csv``, ``pool_metrics.csv`` (cpu columns
+    empty until the bench stage) and ``summary.json``; returns the trace and
+    the metrics rows, baseline first.  ``bundle_bytes`` is the size of the
+    bundle file each model was written to.
+    """
+    eval_ds = _eval_split(config, splits, "eliminate")
+    models = tuple(m.model for m in members)
     try:
+        pool = ModelPool(members=models, baseline_ref=baseline.digest,
+                         grid_manifest=tuple(m.config for m in models))
         votes = vote_matrix(pool, eval_ds.features, workers=workers)
         trace = backward_eliminate(pool, votes, eval_ds.labels)
         best = best_ensemble(trace)
     except (EnsythError, ValueError) as exc:
         raise StageError("eliminate", str(exc)) from exc
-    baseline_acc = _accuracy(baseline, eval_ds)
 
-    # bench (wall-clock: excluded from determinism guarantees)
-    timings = [None] * (1 + len(pool.members))
-    if run_bench:
-        batch = _sample_batch(eval_ds, config.bench.batch_size,
-                              config.bench.sample_seed)
-        results = bench_pool([baseline] + list(pool.members), batch,
-                             repeats=config.bench.repeats)
-        timings = results
+    def row(model_id, stored, set_id, epsilon, accuracy):
+        return MetricsRow(model_id=model_id, set_id=set_id, epsilon=epsilon,
+                          accuracy=accuracy, params=param_count(stored.model),
+                          sparsity=sparsity(stored.model),
+                          bundle_bytes=os.path.getsize(stored.path))
 
-    # report
-    rows = [MetricsRow(
-        model_id="baseline", set_id="", epsilon=None,
-        accuracy=baseline_acc, params=param_count(baseline),
-        sparsity=sparsity(baseline), bundle_bytes=bundle_size(baseline),
-        cpu_us_mean=timings[0].mean_us if timings[0] else None,
-        cpu_us_max_member=timings[0].max_member_us if timings[0] else None,
-    )]
-    member_accs = [(votes.labels[i] == eval_ds.labels).mean()
-                   for i in range(len(pool))]
-    for i, member in enumerate(pool.members):
-        t = timings[i + 1]
-        rows.append(MetricsRow(
-            model_id=str(i), set_id=member.config.set_id,
-            epsilon=member.config.epsilon_gain,
-            accuracy=float(member_accs[i]), params=param_count(member),
-            sparsity=sparsity(member), bundle_bytes=bundle_size(member),
-            cpu_us_mean=t.mean_us if t else None,
-            cpu_us_max_member=t.max_member_us if t else None,
-        ))
-    report_paths = emit_report(trace, rows, out_dir)
+    baseline_acc = _accuracy(baseline.model, eval_ds)
+    rows = [row("baseline", baseline, "", None, baseline_acc)]
+    for i, member in enumerate(members):
+        accuracy = float((votes.labels[i] == eval_ds.labels).mean())
+        rows.append(row(str(i), member, member.model.config.set_id,
+                        member.model.config.epsilon_gain, accuracy))
+    write_trace_csv(trace, _out(config, TRACE_CSV))
+    write_metrics_csv(rows, _out(config, METRICS_CSV))
 
     summary = {
-        "dataset": train_ds.name,
-        "elimination_split": split_name,
+        "dataset": splits[0].name,
+        "elimination_split": config.elimination_split,
         "baseline_accuracy": baseline_acc,
-        "baseline_digest": baseline_digest,
-        "baseline_params": param_count(baseline),
+        "baseline_digest": baseline.digest,
+        "baseline_params": rows[0].params,
         "pool_size": len(pool),
-        "member_digests": member_digests,
+        "member_digests": [m.digest for m in members],
         "best_ensemble_member_ids": list(best.member_ids),
         "best_ensemble_accuracy": best.accuracy,
         "best_ensemble_size": len(best),
         "master_seed": config.master_seed,
     }
-    summary_path = os.path.join(out_dir, SUMMARY_JSON)
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with open(_out(config, SUMMARY_JSON), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=False)
         fh.write("\n")
+    return trace, rows
 
+
+def bench_stage(config, splits, models, rows):
+    """Time each model, in row order, on one sampled batch of the elimination
+    split; fill the rows' cpu columns and rewrite ``pool_metrics.csv``.
+
+    Wall-clock numbers: excluded from the determinism guarantees.
+    """
+    eval_ds = _eval_split(config, splits, "bench")
+    if len(models) != len(rows):
+        raise StageError("bench", f"{len(models)} models but {len(rows)} metrics rows")
+    batch = _sample_batch(eval_ds, config.bench.batch_size, config.bench.sample_seed)
+    try:
+        timings = bench_pool(models, batch, repeats=config.bench.repeats)
+    except (EnsythError, ValueError) as exc:
+        raise StageError("bench", str(exc)) from exc
+    for row, timing in zip(rows, timings):
+        row.cpu_us_mean = timing.mean_us
+        row.cpu_us_max_member = timing.max_member_us
+    write_metrics_csv(rows, _out(config, METRICS_CSV))
+    return rows
+
+
+def report_stage(config, trace, rows):
+    """Write ``accuracy_vs_size.svg``; returns its path."""
+    try:
+        return emit_report(trace, rows, config.output_dir)
+    except ValueError as exc:
+        raise StageError("report", str(exc)) from exc
+
+
+def run_pipeline(config: ExperimentConfig | str, out_dir=None, *,
+                 workers: int = 1, elimination_split: str | None = None) -> dict:
+    """Run every stage in order, handing models over in memory; returns a
+    dict of artifact paths."""
+    if isinstance(config, (str, os.PathLike)):
+        config = load_config(config)
+    config = resolve_config(config, out_dir, elimination_split)
+    splits = data_stage(config)
+    baseline = train_stage(config, splits[0])
+    members = pool_stage(config, splits[0], baseline, workers=workers)
+    trace, rows = eliminate_stage(config, splits, baseline, members, workers=workers)
+    bench_stage(config, splits, [baseline.model] + [m.model for m in members], rows)
+    svg_path = report_stage(config, trace, rows)
     return {
-        "baseline": baseline_path,
-        "pool": member_paths,
-        "summary": summary_path,
-        **report_paths,
+        "baseline": baseline.path,
+        "pool": [m.path for m in members],
+        "summary": _out(config, SUMMARY_JSON),
+        "trace_csv": _out(config, TRACE_CSV),
+        "metrics_csv": _out(config, METRICS_CSV),
+        "svg": svg_path,
     }
-
-
-def bench_command(pool_dir, dataset: Dataset, repeats=9, batch=50,
-                  sample_seed=0, metrics_csv=None):
-    """Time every bundle in a pool directory; update the metrics CSV in place."""
-    paths = sorted(
-        os.path.join(pool_dir, n) for n in os.listdir(pool_dir) if n.endswith(".ezip")
-    )
-    if not paths:
-        raise StageError("bench", f"no bundles found in {pool_dir}")
-    models = [load_bundle(p)[0] for p in paths]
-    batch_features = _sample_batch(dataset, batch, sample_seed)
-    results = bench_pool(models, batch_features, repeats=repeats)
-    by_id = {str(i): t for i, t in enumerate(results)}
-    if metrics_csv and os.path.exists(metrics_csv):
-        rows = read_metrics_csv(metrics_csv)
-        for row in rows:
-            if row.model_id in by_id:
-                row.cpu_us_mean = by_id[row.model_id].mean_us
-                row.cpu_us_max_member = by_id[row.model_id].max_member_us
-        write_metrics_csv(rows, metrics_csv)
-    return results

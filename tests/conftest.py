@@ -54,6 +54,13 @@ def trained_fixture():
     return {"net": net, "train": tr, "val": va, "test": te, "cfg": cfg, "init": net0}
 
 
+def full_grid():
+    """The stock 3-set x 12-epsilon grid, as ``configs/full_grid.json`` defines it."""
+    from ensyth.pipeline import load_config
+
+    return load_config(os.path.join(REPO, "configs", "full_grid.json")).grid_configs
+
+
 def make_pruned(net, masks=None, config=None, parent="p"):
     """Wrap a network as a pruned model with consistent masks."""
     from ensyth.pruner import PruneConfig, PrunedModel

@@ -14,8 +14,8 @@ import pytest
 
 import ensyth as E
 from ensyth import _kernels
+from ensyth._kernels import _pykernels
 from ensyth.ensemble import (
-    TABLE1_EPSILONS,
     Ensemble,
     ModelPool,
     VoteMatrix,
@@ -31,10 +31,10 @@ from ensyth.metrics import timed_inference, weight_nonzeros
 from ensyth.network import ReluNetwork, TrainConfig, _loss_and_grads, batch_loss
 from ensyth.pipeline import run_pipeline
 from ensyth.pool_store import bundle_bytes, load_bundle, save_bundle
-from ensyth.pruner import PruneConfig, _solve_layer
+from ensyth.pruner import _solve_layer
 from ensyth.tensor import DenseMatrix
 
-from conftest import make_pruned
+from conftest import full_grid, make_pruned
 from _oracles import reference_l1min, spearman
 from test_metrics import clock_for_durations
 
@@ -47,6 +47,8 @@ def _criterion(num, description, ok):
 # --- shared desk-scale runs (criteria 3, 5, 6) -------------------------------
 
 SEEDS = (1, 2, 3)
+SET1 = tuple(c for c in full_grid() if c.set_id == "set1")
+SET1_EPSILONS = tuple(c.epsilon_gain for c in SET1)
 
 
 def _desk_run(seed):
@@ -59,9 +61,7 @@ def _desk_run(seed):
     baseline = E.train(init, train_ds, tcfg)
     baseline_acc = float((E.predict(baseline, test_ds.features)
                           == test_ds.labels).mean())
-    grid = [PruneConfig(epsilon_gain=e, l1=0.0, l2=1.0, dropout_keep=1.0,
-                        set_id="set1") for e in TABLE1_EPSILONS]
-    pool = generate_pool(baseline, grid, train_ds)
+    pool = generate_pool(baseline, SET1, train_ds)
     votes = vote_matrix(pool, test_ds.features)
     trace = backward_eliminate(pool, votes, test_ds.labels)
     return {
@@ -76,10 +76,20 @@ def _desk_run(seed):
 
 
 @pytest.fixture(scope="session")
-def desk_runs():
-    start = time.perf_counter()
-    runs = [_desk_run(seed) for seed in SEEDS]
-    return {"runs": runs, "elapsed": time.perf_counter() - start}
+def desk_runs(request):
+    """The three seeds on the compiled kernels, or on the numpy ones when
+    no extension builds; the backends are bit-identical, so only the
+    elapsed time depends on which one ran."""
+    try:
+        impl = request.getfixturevalue("ckernels")
+    except pytest.skip.Exception:
+        impl = _pykernels
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_impl", impl)
+        start = time.perf_counter()
+        runs = [_desk_run(seed) for seed in SEEDS]
+        elapsed = time.perf_counter() - start
+    return {"runs": runs, "elapsed": elapsed}
 
 
 # --- criteria ----------------------------------------------------------------
@@ -237,7 +247,7 @@ def test_criterion_06_sparsity_trend(desk_runs):
                        and mean_frac <= 0.60)
         if not seed_passes:
             continue
-        rho = spearman(TABLE1_EPSILONS, run["member_nnz"])
+        rho = spearman(SET1_EPSILONS, run["member_nnz"])
         rhos.append(f"seed {run['seed']}: {rho:.3f}")
         ok &= rho <= -0.8
     _criterion(6, f"Spearman(eps, nnz) <= -0.8 per passing seed "

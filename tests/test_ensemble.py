@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 import ensyth as E
 from ensyth.ensemble import (
-    TABLE1_EPSILONS,
     EliminationStep,
     EliminationTrace,
     Ensemble,
@@ -13,7 +12,6 @@ from ensyth.ensemble import (
     VoteMatrix,
     backward_eliminate,
     best_ensemble,
-    default_grid,
     ensemble_accuracy,
     generate_pool,
     plurality_vote,
@@ -25,7 +23,7 @@ from ensyth.ensemble import (
 from ensyth.network import ReluNetwork
 from ensyth.tensor import DenseMatrix
 
-from conftest import make_pruned, random_network
+from conftest import full_grid, make_pruned, random_network
 
 
 def naive_plurality(column, classes):
@@ -60,13 +58,14 @@ def _dummy_pool(n, classes=3, nnz_counts=None, seed=0):
 
 class TestDefaultGrid:
     def test_thirty_six_configs(self):
-        grid = default_grid()
+        grid = full_grid()
         assert len(grid) == 36
         assert len([c for c in grid if c.set_id == "set1"]) == 12
-        assert tuple(c.epsilon_gain for c in grid[:12]) == TABLE1_EPSILONS
+        assert tuple(c.epsilon_gain for c in grid[:12]) == (
+            0.01, 0.02, 0.04, 0.06, 0.08, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
     def test_set_hyperparameters(self):
-        grid = default_grid()
+        grid = full_grid()
         by_set = {c.set_id: c for c in grid}
         assert by_set["set1"].l2 == 1.0 and by_set["set1"].dropout_keep == 1.0
         assert by_set["set2"].l2 == (0.0, 0.0, 0.004, 0.004, 0.0)
@@ -94,7 +93,7 @@ class TestGeneratePool:
                            spread=0.8)
         net = E.train(ReluNetwork.initialize([4, 3], seed=0), ds,
                       E.TrainConfig(epochs=10, batch_size=10, learning_rate=0.05))
-        pool = generate_pool(net, default_grid(), ds)
+        pool = generate_pool(net, full_grid(), ds)
         assert len(pool) == 36
 
     def test_workers_do_not_change_result(self, trained_fixture):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ensyth.metrics import (
-    ModelMetrics,
     bundle_size,
     param_count,
     sparsity,
@@ -139,13 +138,3 @@ class TestTimedInference:
     def test_repeats_validated(self):
         with pytest.raises(ValueError):
             timed_inference(self._model(), DenseMatrix(np.ones((3, 1))), repeats=0)
-
-
-class TestModelMetrics:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ModelMetrics(params=1, sparsity=1.5, bundle_bytes=10, cpu_us=1.0,
-                         accuracy=0.5)
-        with pytest.raises(ValueError):
-            ModelMetrics(params=1, sparsity=0.5, bundle_bytes=10, cpu_us=-1.0,
-                         accuracy=0.5)

@@ -164,7 +164,7 @@ class TestRunPipeline:
 
     def test_seed_override_changes_results(self, pipeline_run):
         out3 = pipeline_run["tmp"] / "out3"
-        run_pipeline(str(pipeline_run["config_path"]), str(out3), master_seed=99)
+        run_pipeline(load_config(pipeline_run["config_path"], master_seed=99), str(out3))
         s1 = json.loads((pipeline_run["out"] / "summary.json").read_text())
         s3 = json.loads((out3 / "summary.json").read_text())
         assert s3["master_seed"] == 99
@@ -183,7 +183,7 @@ class TestMinimalRun:
                                      0.2, 0.3, 0.4, 0.5, 0.6, 0.7]}]
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
-        run_pipeline(str(path), str(out), run_bench=False)
+        run_pipeline(str(path), str(out))
         with open(out / "pool_metrics.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 13
@@ -206,7 +206,7 @@ class TestMinimalRun:
         cfg["grid"] = [{"epsilons": [0.1]}]
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
-        run_pipeline(str(path), str(out), run_bench=False)
+        run_pipeline(str(path), str(out))
         summary = json.loads((out / "summary.json").read_text())
         assert summary["pool_size"] == 1
         assert summary["baseline_accuracy"] > 0.9
@@ -217,19 +217,22 @@ class TestMinimalRun:
         cfg["grid"] = [{"epsilons": [0.1]}]
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
-        run_pipeline(str(path), str(out), run_bench=False)
+        run_pipeline(str(path), str(out))
         with open(out / "elimination_trace.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["member_ids"] == "0"
 
-    def test_layer_dim_mismatch_is_stage_error(self, tmp_path):
+    def test_layer_dim_mismatch_is_stage_error(self, tmp_path, capsys):
         from ensyth.errors import StageError
         cfg = minimal_config()
         cfg["network"]["layer_dims"] = [9, 6, 3]
         path = write_config(tmp_path, cfg)
         with pytest.raises(StageError, match="data"):
             run_pipeline(str(path), str(tmp_path / "out"))
+        code = cli.main(["-c", str(path), "-o", str(tmp_path / "o"), "train"])
+        assert code == cli.EXIT_STAGE
+        assert "stage 'data'" in capsys.readouterr().err
 
     def test_missing_dataset_file_is_data_stage_error(self, tmp_path):
         from ensyth.errors import StageError
@@ -274,6 +277,12 @@ class TestBench:
         assert all(r.cpu_us_mean is not None for r in rows)
         assert all(r.cpu_us_mean >= 0 for r in rows)
 
+    def test_bundle_bytes_is_size_of_written_bundle(self, pipeline_run):
+        rows = read_metrics_csv(pipeline_run["out"] / "pool_metrics.csv")
+        artifacts = pipeline_run["artifacts"]
+        paths = [artifacts["baseline"]] + artifacts["pool"]
+        assert [r.bundle_bytes for r in rows] == [os.path.getsize(p) for p in paths]
+
 
 class TestCrossBackend:
     def test_fallback_kernels_reproduce_digests(self, tmp_path, ckernels, monkeypatch):
@@ -309,19 +318,26 @@ class TestCli:
         assert "stage" in capsys.readouterr().err
 
     def test_stagewise_matches_run(self, tmp_path):
-        cfg = minimal_config()
-        cfg["bench"] = {"repeats": 1, "batch_size": 4}
-        path = write_config(tmp_path, cfg)
+        """The subcommands one at a time write what ``run`` writes, byte for
+        byte, apart from the wall-clock cpu_us columns, which every row of
+        both fills."""
+        path = write_config(tmp_path, minimal_config())
         out_run = tmp_path / "full"
         out_stage = tmp_path / "staged"
         assert cli.main(["-c", str(path), "-o", str(out_run), "run"]) == 0
         for command in ("train", "pool", "eliminate", "bench", "report"):
             assert cli.main(["-c", str(path), "-o", str(out_stage), command]) == 0
-        s_run = json.loads((out_run / "summary.json").read_text())
-        s_stage = json.loads((out_stage / "summary.json").read_text())
-        for key in ("baseline_accuracy", "baseline_digest",
-                    "best_ensemble_member_ids", "best_ensemble_accuracy"):
-            assert s_run[key] == s_stage[key]
+        for name in ("summary.json", "elimination_trace.csv", "accuracy_vs_size.svg"):
+            assert (out_run / name).read_bytes() == (out_stage / name).read_bytes(), name
+
+        def without_cpu(out):
+            with open(out / "pool_metrics.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            for row in rows:
+                assert row.pop("cpu_us_mean") != "", row["model_id"]
+                assert row.pop("cpu_us_max_member") != "", row["model_id"]
+            return rows
+        assert without_cpu(out_run) == without_cpu(out_stage)
 
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.setenv("ENSYTH_WORKERS", "4")
