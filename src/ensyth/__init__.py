@@ -21,11 +21,11 @@ from .ensemble import (
     predict_parallel,
     vote_matrix,
 )
-from .metrics import bundle_size, param_count, sparsity, timed_inference
+from .metrics import param_count, sparsity, timed_inference
 from .network import Activations, ReluNetwork, TrainConfig, forward, masked_train, predict, train
 from .pool_store import bundle_digest, load_bundle, save_bundle
-from .pruner import PruneConfig, PrunedModel, collect_layer_data, prune_layer, prune_network
-from .tensor import ArrayRecord, DenseMatrix, SparseMatrix, decode_array, encode_array, matmul, relu
+from .pruner import PruneConfig, PrunedModel, collect_layer_data, prune_network
+from .tensor import ArrayRecord, DenseMatrix, SparseMatrix, decode_array, encode_array
 
 __version__ = "0.1.0"
 
@@ -34,10 +34,10 @@ __all__ = [
     "Ensemble", "KERNEL_BACKEND", "ModelPool", "PruneConfig",
     "PrunedModel", "ReluNetwork", "SparseMatrix", "SplitSpec", "TrainConfig",
     "VoteMatrix", "backward_eliminate", "best_ensemble", "bundle_digest",
-    "bundle_size", "collect_layer_data", "decode_array",
+    "collect_layer_data", "decode_array",
     "encode_array", "ensemble_accuracy", "forward", "generate_pool", "load_bundle",
-    "load_csv", "load_idx", "masked_train", "matmul", "param_count",
-    "plurality_vote", "predict", "predict_parallel", "prune_layer",
-    "prune_network", "relu", "save_bundle", "sparsity", "split",
+    "load_csv", "load_idx", "masked_train", "param_count",
+    "plurality_vote", "predict", "predict_parallel",
+    "prune_network", "save_bundle", "sparsity", "split",
     "subset_classes", "synth_blobs", "timed_inference", "train", "vote_matrix",
 ]

@@ -20,7 +20,7 @@ from .data import Dataset
 from .errors import ShapeError
 from .metrics import param_count
 from .network import ReluNetwork, TrainConfig, predict
-from .pruner import prune_network
+from .pruner import PruneConfig, fine_tune, prune_network
 
 
 @dataclass(frozen=True)
@@ -129,23 +129,36 @@ class EliminationTrace:
 def generate_pool(baseline: ReluNetwork, grid, data: Dataset, *,
                   train_template: TrainConfig | None = None,
                   parent_hash: str | None = None, workers: int = 1) -> ModelPool:
-    """One pruned model per grid config, in grid order."""
+    """One pruned model per grid config, in grid order.
+
+    The layer solves depend only on ``epsilon_gain``, so they run once per
+    distinct epsilon, in grid order; each config is then fine-tuned from
+    its epsilon's solve.  Members are bit-identical to one
+    ``prune_network`` call per config.  With ``workers > 1`` the solves,
+    and then the fine-tunes, run on a thread pool.
+    """
     grid = tuple(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
     if parent_hash is None:
         from .pool_store import bundle_digest
         parent_hash = bundle_digest(baseline)
+    epsilons = tuple(dict.fromkeys(cfg.epsilon_gain for cfg in grid))
 
-    def build(cfg):
-        return prune_network(baseline, data, cfg, train_template=train_template,
+    def solve(eps):
+        return prune_network(baseline, data, PruneConfig(epsilon_gain=eps),
                              parent_hash=parent_hash)
+
+    def tune(cfg):
+        return fine_tune(solved[cfg.epsilon_gain], data, cfg, train_template)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            members = tuple(pool.map(build, grid))
+            solved = dict(zip(epsilons, pool.map(solve, epsilons)))
+            members = tuple(pool.map(tune, grid))
     else:
-        members = tuple(build(cfg) for cfg in grid)
+        solved = {eps: solve(eps) for eps in epsilons}
+        members = tuple(tune(cfg) for cfg in grid)
     return ModelPool(members=members, baseline_ref=parent_hash, grid_manifest=grid)
 
 

@@ -1,4 +1,4 @@
-"""Model measurements: parameter counts, sparsity, bundle size, timed inference.
+"""Model measurements: parameter counts, sparsity, timed inference.
 
 "Trainable parameters" counts weight entries above the 1e-8 magnitude
 threshold plus every bias entry.  Timing takes an injectable clock so the
@@ -52,12 +52,6 @@ def sparsity(model) -> float:
     net = _network_of(model)
     total = sum(w.size for w in net.weights)
     return 1.0 - weight_nonzeros(model) / total
-
-
-def bundle_size(model) -> int:
-    """Byte length of the serialized bundle (smaller encoding per array)."""
-    from .pool_store import bundle_bytes
-    return len(bundle_bytes(model))
 
 
 def _time_single(net, batch, repeats, clock):

@@ -36,7 +36,7 @@ from .ensemble import (
 from .errors import ConfigError, EnsythError, StageError
 from .metrics import param_count, sparsity, timed_inference
 from .network import ReluNetwork, TrainConfig, predict, train
-from .pool_store import save_bundle
+from .pool_store import BUNDLE_SUFFIX, save_bundle
 from .pruner import PruneConfig
 
 METRICS_CSV = "pool_metrics.csv"
@@ -520,16 +520,14 @@ def _out(config, name):
     return os.path.join(config.output_dir, name)
 
 
-def _eval_split(config, splits, stage):
-    _, val_ds, test_ds = splits
-    eval_ds = val_ds if config.elimination_split == "val" else test_ds
-    if eval_ds is None:
-        raise StageError(stage, f"the {config.elimination_split} split is empty")
-    return eval_ds
+def _eval_split(config, splits):
+    """The split the eliminate and bench stages score on."""
+    return splits[1] if config.elimination_split == "val" else splits[2]
 
 
 def data_stage(config):
-    """Build the (train, val, test) splits and check them against the network."""
+    """Build the (train, val, test) splits and check them against the network
+    and the elimination split."""
     try:
         splits = build_dataset(config.dataset)
     except (EnsythError, ValueError, OSError) as exc:
@@ -541,6 +539,8 @@ def data_stage(config):
     if config.layer_dims[-1] < train_ds.class_count:
         raise StageError("data", f"network.layer_dims[-1]={config.layer_dims[-1]} "
                                  f"but dataset has {train_ds.class_count} classes")
+    if _eval_split(config, splits) is None:
+        raise StageError("data", f"the {config.elimination_split} split is empty")
     return splits
 
 
@@ -558,7 +558,11 @@ def train_stage(config, train_ds) -> StoredModel:
 
 
 def pool_stage(config, train_ds, baseline: StoredModel, workers=1) -> list:
-    """Prune the baseline once per grid config and write ``pool/model_NNN.ezip``."""
+    """Prune the baseline once per grid config and write ``pool/model_NNN.ezip``.
+
+    Member bundles left by an earlier pool run and not rewritten by this one
+    are deleted, so ``pool/`` holds this grid's members only.
+    """
     try:
         pool = generate_pool(baseline.model, config.grid_configs, train_ds,
                              train_template=config.train,
@@ -569,8 +573,13 @@ def pool_stage(config, train_ds, baseline: StoredModel, workers=1) -> list:
     os.makedirs(pool_dir, exist_ok=True)
     members = []
     for i, member in enumerate(pool.members):
-        path = os.path.join(pool_dir, f"model_{i:03d}.ezip")
+        path = os.path.join(pool_dir, f"model_{i:03d}{BUNDLE_SUFFIX}")
         members.append(StoredModel(member, save_bundle(member, path), path))
+    written = {os.path.basename(m.path) for m in members}
+    for name in os.listdir(pool_dir):
+        if name.startswith("model_") and name.endswith(BUNDLE_SUFFIX) \
+                and name not in written:
+            os.remove(os.path.join(pool_dir, name))
     return members
 
 
@@ -582,7 +591,7 @@ def eliminate_stage(config, splits, baseline: StoredModel, members, workers=1):
     the metrics rows, baseline first.  ``bundle_bytes`` is the size of the
     bundle file each model was written to.
     """
-    eval_ds = _eval_split(config, splits, "eliminate")
+    eval_ds = _eval_split(config, splits)
     models = tuple(m.model for m in members)
     try:
         pool = ModelPool(members=models, baseline_ref=baseline.digest,
@@ -633,7 +642,7 @@ def bench_stage(config, splits, models, rows):
 
     Wall-clock numbers: excluded from the determinism guarantees.
     """
-    eval_ds = _eval_split(config, splits, "bench")
+    eval_ds = _eval_split(config, splits)
     if len(models) != len(rows):
         raise StageError("bench", f"{len(models)} models but {len(rows)} metrics rows")
     batch = _sample_batch(eval_ds, config.bench.batch_size, config.bench.sample_seed)

@@ -27,7 +27,7 @@ stay in Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class PruneConfig:
     set_id: str = "set1"
 
     def __post_init__(self):
-        if self.epsilon_gain < 0:
+        if not self.epsilon_gain >= 0:
             raise ValueError("epsilon_gain must be >= 0")
         if self.fine_tune_epochs < 0:
             raise ValueError("fine_tune_epochs must be >= 0")
@@ -468,15 +468,6 @@ def _solve_layer(w_aug, x_in, x_out, active, eps, hidden, *, penalize_bias=True,
     return u_final, info
 
 
-def prune_layer(w_aug: DenseMatrix, data: LayerData, eps: float, hidden: bool) -> DenseMatrix:
-    """L1-minimal replacement for one augmented layer matrix."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    u, _ = _solve_layer(w_aug.data, data.x_in.data, data.x_out.data,
-                        data.active_mask, eps, hidden)
-    return DenseMatrix(u)
-
-
 def _layer_report(layer_idx, u, x_in, x_out, active, eps_fit, hidden, w_aug, info):
     """Residual report on the final thresholded layer matrix."""
     xt = np.ascontiguousarray(x_in.T)
@@ -507,8 +498,13 @@ def _layer_report(layer_idx, u, x_in, x_out, active, eps_fit, hidden, w_aug, inf
 def prune_network(net: ReluNetwork, data: Dataset, cfg: PruneConfig, *,
                   train_template: TrainConfig | None = None,
                   parent_hash: str | None = None) -> PrunedModel:
-    """Prune every layer against the baseline activations, then optionally
-    fine-tune on the masked support."""
+    """Prune every layer against the baseline activations, then ``fine_tune``.
+
+    The solve reads only ``cfg.epsilon_gain``, so configs that share it
+    share the solve: ``generate_pool`` solves each distinct epsilon once
+    and fine-tunes each config from that solve, with the same bits as
+    calling this function per config.
+    """
     if data.sample_count < 1:
         raise ValueError("pruning dataset is empty")
     layer_data = collect_layer_data(net, data.features)
@@ -531,8 +527,31 @@ def prune_network(net: ReluNetwork, data: Dataset, cfg: PruneConfig, *,
         new_biases.append(u[-1, :])
         masks.append(u[:-1, :] != 0.0)
 
-    pruned_net = ReluNetwork(net.layer_dims, tuple(new_weights), tuple(new_biases))
+    if parent_hash is None:
+        from .pool_store import bundle_digest
+        parent_hash = bundle_digest(net)
 
+    solved = PrunedModel(
+        network=ReluNetwork(net.layer_dims, tuple(new_weights), tuple(new_biases)),
+        masks=tuple(masks), config=cfg, parent_hash=parent_hash,
+        layer_epsilons=tuple(epsilons), feasibility_report=tuple(reports))
+    return fine_tune(solved, data, cfg, train_template)
+
+
+def fine_tune(pruned: PrunedModel, data: Dataset, cfg: PruneConfig,
+              train_template: TrainConfig | None = None) -> PrunedModel:
+    """``pruned`` fine-tuned on its masks as ``cfg`` says, carrying ``cfg``.
+
+    ``cfg.fine_tune_epochs`` of masked SGD with ``cfg``'s l1, l2 and
+    dropout; batch size, learning rate and seed come from
+    ``train_template`` (or fixed defaults).  With 0 epochs the result
+    shares ``pruned``'s read-only network.  ``cfg`` must name the epsilon
+    ``pruned`` was solved for.
+    """
+    if cfg.epsilon_gain != pruned.config.epsilon_gain:
+        raise ValueError(f"config epsilon {cfg.epsilon_gain} differs from the solve's "
+                         f"{pruned.config.epsilon_gain}")
+    net = pruned.network
     if cfg.fine_tune_epochs > 0:
         base = train_template
         tcfg = TrainConfig(
@@ -542,12 +561,5 @@ def prune_network(net: ReluNetwork, data: Dataset, cfg: PruneConfig, *,
             l1=cfg.l1, l2=cfg.l2, dropout_keep=cfg.dropout_keep,
             seed=base.seed if base else _DEFAULT_FINE_TUNE["seed"],
         )
-        pruned_net = masked_train(pruned_net, data, tcfg, masks)
-
-    if parent_hash is None:
-        from .pool_store import bundle_digest
-        parent_hash = bundle_digest(net)
-
-    return PrunedModel(network=pruned_net, masks=tuple(masks), config=cfg,
-                       parent_hash=parent_hash, layer_epsilons=tuple(epsilons),
-                       feasibility_report=tuple(reports))
+        net = masked_train(net, data, tcfg, pruned.masks)
+    return replace(pruned, network=net, config=cfg)

@@ -1,10 +1,8 @@
-"""Dense and sparse 2-D arrays, primitive operations, and the byte codec.
+"""Dense and sparse 2-D arrays and the byte codec.
 
 Matrices are immutable wrappers around read-only float64 numpy arrays.
-``matmul``/``relu`` dispatch to the kernel backend; both backends use a
-pinned summation order so repeated runs (and both backends) agree bit for
-bit.  ``encode_array``/``decode_array`` implement the ``.ens`` byte format
-used inside model bundles.
+``encode_array``/``decode_array`` implement the ``.ens`` byte format used
+inside model bundles.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import FormatError, ShapeError
 
 MAGIC = b"ENSY"
@@ -179,18 +176,6 @@ class ArrayRecord:
 
 
 # --- operations -------------------------------------------------------------
-
-
-def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Matrix product with deterministic left-to-right summation per cell."""
-    if a.cols != b.rows:
-        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return DenseMatrix(_kernels.matmul(a.data, b.data))
-
-
-def relu(a: DenseMatrix) -> DenseMatrix:
-    """Elementwise max(x, 0)."""
-    return DenseMatrix(_kernels.relu(a.data))
 
 
 def _check_integral(arr):

@@ -1,9 +1,11 @@
 """Pool generation, plurality voting, backward elimination, parallel inference."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import ensyth as E
+from ensyth import pruner
 from ensyth.ensemble import (
     EliminationStep,
     EliminationTrace,
@@ -24,6 +26,19 @@ from ensyth.network import ReluNetwork
 from ensyth.tensor import DenseMatrix
 
 from conftest import full_grid, make_pruned, random_network
+
+# Three fine-tune sets, as in the benchmark's pool-finetune workload, sized
+# for the two-layer ``trained_fixture`` network.
+_SETS = ({"l2": 0.001},
+         {"l2": (0.0, 0.004)},
+         {"l2": (0.0, 0.004), "dropout_keep": (0.5, 1.0)})
+_SHARED_EPSILONS = (0.1, 0.3)
+
+
+def _sets_grid(fine_tune_epochs):
+    return [E.PruneConfig(epsilon_gain=e, fine_tune_epochs=fine_tune_epochs,
+                          set_id=f"set{i + 1}", **coeffs)
+            for i, coeffs in enumerate(_SETS) for e in _SHARED_EPSILONS]
 
 
 def naive_plurality(column, classes):
@@ -103,6 +118,41 @@ class TestGeneratePool:
                             workers=4)
         for a, b in zip(seq.members, par.members):
             assert a.network == b.network
+
+
+class TestSharedSolves:
+    """The pool solves each distinct epsilon once and fine-tunes per config."""
+
+    @pytest.fixture(scope="class")
+    def standalone(self, trained_fixture):
+        """Member digests from one ``prune_network`` call per config."""
+        f = trained_fixture
+        return {epochs: [E.bundle_digest(pruner.prune_network(
+                    f["net"], f["train"], cfg, train_template=f["cfg"]))
+                         for cfg in _sets_grid(epochs)]
+                for epochs in (0, 2)}
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("epochs", (0, 2))
+    def test_one_solve_per_epsilon_and_same_bits(self, trained_fixture, standalone,
+                                                 monkeypatch, epochs, workers):
+        f = trained_fixture
+        solved = []
+        real = pruner._solve_layer
+
+        def counted(*args, **kwargs):
+            solved.append(args[4])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pruner, "_solve_layer", counted)
+        grid = _sets_grid(epochs)
+        pool = generate_pool(f["net"], grid, f["train"], train_template=f["cfg"],
+                             workers=workers)
+        assert len(solved) == len(_SHARED_EPSILONS) * f["net"].depth
+        assert sorted(set(solved)) == list(_SHARED_EPSILONS)
+        assert list(pool.grid_manifest) == grid
+        assert [m.config for m in pool.members] == grid
+        assert [E.bundle_digest(m) for m in pool.members] == standalone[epochs]
 
 
 class TestVoteMatrix:

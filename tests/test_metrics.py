@@ -1,15 +1,17 @@
 """Parameter counts, sparsity, bundle sizes, and the timing protocol."""
 
+import os
+
 import numpy as np
 import pytest
 
 from ensyth.metrics import (
-    bundle_size,
     param_count,
     sparsity,
     timed_inference,
 )
 from ensyth.network import ReluNetwork
+from ensyth.pool_store import save_bundle
 from ensyth.tensor import DenseMatrix
 
 from conftest import make_pruned
@@ -17,6 +19,12 @@ from conftest import make_pruned
 
 def _net(weights, biases, dims):
     return ReluNetwork(dims, tuple(weights), tuple(biases))
+
+
+def _saved_size(model, path):
+    """Size of the bundle file ``save_bundle`` writes for ``model``."""
+    save_bundle(model, path)
+    return os.path.getsize(path)
 
 
 class FakeClock:
@@ -81,11 +89,11 @@ class TestSparsity:
 
 
 class TestBundleSize:
-    def test_deterministic(self, trained_fixture):
+    def test_deterministic(self, trained_fixture, tmp_path):
         net = trained_fixture["net"]
-        assert bundle_size(net) == bundle_size(net)
+        assert _saved_size(net, tmp_path / "a.ezip") == _saved_size(net, tmp_path / "b.ezip")
 
-    def test_sparse_model_smaller_than_dense_baseline(self):
+    def test_sparse_model_smaller_than_dense_baseline(self, tmp_path):
         rng = np.random.default_rng(3)
         dense_w = rng.normal(size=(40, 40))
         sparse_w = dense_w.copy()
@@ -93,11 +101,12 @@ class TestBundleSize:
         flat[np.argsort(np.abs(flat))[:int(0.9 * flat.size)]] = 0.0
         baseline = _net([dense_w], [rng.normal(size=40)], (40, 40))
         pruned = make_pruned(_net([sparse_w], [rng.normal(size=40)], (40, 40)))
-        assert bundle_size(pruned) < bundle_size(baseline)
+        assert _saved_size(pruned, tmp_path / "p.ezip") < \
+            _saved_size(baseline, tmp_path / "b.ezip")
 
-    def test_bundle_at_least_manifest_sized(self):
+    def test_bundle_at_least_manifest_sized(self, tmp_path):
         net = _net([np.ones((1, 1))], [np.zeros(1)], (1, 1))
-        assert bundle_size(net) > 100
+        assert _saved_size(net, tmp_path / "n.ezip") > 100
 
 
 class TestTimedInference:

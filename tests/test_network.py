@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ensyth as E
+from ensyth import _kernels
 from ensyth.errors import ShapeError
 from ensyth.network import (
     ReluNetwork,
@@ -15,7 +16,7 @@ from ensyth.network import (
     predict,
     train,
 )
-from ensyth.tensor import DenseMatrix, matmul, relu
+from ensyth.tensor import DenseMatrix
 
 from conftest import random_network
 
@@ -71,10 +72,10 @@ class TestForward:
         explicit = forward(net, DenseMatrix(x)).final
         h = x
         for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-            h_aug = DenseMatrix(np.concatenate([h, np.ones((1, h.shape[1]))]))
-            w_aug = DenseMatrix(np.concatenate([w, b[None, :]]).T.copy())
-            z = matmul(w_aug, h_aug)
-            h = relu(z).data if l < net.depth - 1 else z.data
+            h_aug = np.concatenate([h, np.ones((1, h.shape[1]))])
+            w_aug = np.concatenate([w, b[None, :]]).T.copy()
+            z = _kernels.matmul(w_aug, h_aug)
+            h = _kernels.relu(z) if l < net.depth - 1 else z
         assert np.abs(explicit - h).max() < 1e-12
 
 

@@ -242,6 +242,19 @@ class TestMinimalRun:
         with pytest.raises(StageError, match="data"):
             run_pipeline(str(path), str(tmp_path / "out"))
 
+    def test_empty_elimination_split_is_data_stage_error(self, tmp_path, capsys):
+        """An empty elimination split fails before the baseline is trained."""
+        cfg = minimal_config(elimination={"split": "test"})
+        cfg["dataset"]["split"] = {"train": 0.75, "val": 0.25, "test": 0}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        code = cli.main(["-c", str(path), "-o", str(out), "run"])
+        assert code == cli.EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "stage 'data'" in err and "the test split is empty" in err
+        assert not (out / "baseline.ezip").exists()
+
+
 class TestSvgRendering:
     def test_byte_stable(self):
         svg1 = render_accuracy_svg([3, 2, 1], [0.8, 0.9, 0.7], 0.85)
@@ -338,6 +351,22 @@ class TestCli:
                 assert row.pop("cpu_us_max_member") != "", row["model_id"]
             return rows
         assert without_cpu(out_run) == without_cpu(out_stage)
+
+    def test_pool_rerun_removes_stale_members(self, tmp_path):
+        """A ``pool`` run on a smaller grid deletes the member bundles a larger
+        grid left, so ``eliminate`` counts only the current grid's members."""
+        cfg = minimal_config()
+        big = write_config(tmp_path, cfg, "big.json")
+        cfg["grid"][0]["epsilons"] = [0.2]
+        small = write_config(tmp_path, cfg, "small.json")
+        out = tmp_path / "o"
+        for path, command in ((big, "train"), (big, "pool"), (small, "pool"),
+                              (small, "eliminate")):
+            assert cli.main(["-c", str(path), "-o", str(out), command]) == 0
+        assert sorted(os.listdir(out / "pool")) == ["model_000.ezip"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["pool_size"] == 1
+        assert len(summary["member_digests"]) == 1
 
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.setenv("ENSYTH_WORKERS", "4")

@@ -11,7 +11,7 @@ from ensyth.pruner import (
     PruneConfig,
     _solve_layer,
     collect_layer_data,
-    prune_layer,
+    fine_tune,
     prune_network,
 )
 from ensyth.tensor import DenseMatrix
@@ -19,6 +19,12 @@ from ensyth.tensor import DenseMatrix
 from _oracles import lp_equality_l1min, subgradient_l1min, slsqp_l1min, spearman
 
 scipy = pytest.importorskip("scipy")
+
+
+def _solve(w_aug, ld, eps, hidden):
+    """One layer's solve, as ``prune_network`` calls it."""
+    u, _ = _solve_layer(w_aug, ld.x_in.data, ld.x_out.data, ld.active_mask, eps, hidden)
+    return u
 
 
 def _zero_net(dims):
@@ -60,8 +66,8 @@ class TestPruneLayer:
                                np.ones((1, p))])
         data = LayerData(DenseMatrix(x_in), DenseMatrix(np.zeros((2, p))),
                          np.zeros((2, p), dtype=bool))
-        u = prune_layer(DenseMatrix(np.zeros((4, 2))), data, 0.1, hidden=True)
-        assert (u.data == 0.0).all()
+        u = _solve(np.zeros((4, 2)), data, 0.1, hidden=True)
+        assert (u == 0.0).all()
 
     def test_positive_part_at_zero_tolerance(self):
         """With identity inputs and eps = 0, the optimum pins the active
@@ -100,7 +106,7 @@ class TestPruneLayer:
         active = x_out > 0.0
         eps = 0.1
         data = LayerData(DenseMatrix(x_in), DenseMatrix(x_out), active)
-        u = prune_layer(DenseMatrix(w_aug), data, eps, hidden=True).data
+        u = _solve(w_aug, data, eps, hidden=True)
         d = w_aug.shape[0]
         penalize = np.ones(d, dtype=bool)
         penalize[-1] = False
@@ -120,16 +126,15 @@ class TestPruneLayer:
         layers = collect_layer_data(net, trained_fixture["train"].features)
         for l, ld in enumerate(layers):
             w_aug = np.concatenate([net.weights[l], net.biases[l][None, :]])
-            u = prune_layer(DenseMatrix(w_aug), ld, 0.2, hidden=l < net.depth - 1)
-            assert np.abs(u.data[:-1]).sum() <= \
+            u = _solve(w_aug, ld, 0.2, hidden=l < net.depth - 1)
+            assert np.abs(u[:-1]).sum() <= \
                 np.abs(w_aug[:-1]).sum() * (1 + 1e-6)
 
-    def test_rejects_negative_eps(self, trained_fixture):
-        net = trained_fixture["net"]
-        (ld, _) = collect_layer_data(net, trained_fixture["train"].features)
-        w_aug = np.concatenate([net.weights[0], net.biases[0][None, :]])
-        with pytest.raises(ValueError):
-            prune_layer(DenseMatrix(w_aug), ld, -0.1, hidden=True)
+    def test_rejects_negative_eps(self):
+        """The epsilon guard sits in ``PruneConfig``, which every solve takes."""
+        for eps in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="epsilon_gain must be >= 0"):
+                PruneConfig(epsilon_gain=eps)
 
 
 class TestPruneNetwork:
@@ -202,6 +207,29 @@ class TestPruneNetwork:
                            train_template=trained_fixture["cfg"])
         for w, m in zip(pm.network.weights, pm.masks):
             assert not ((w != 0.0) & ~m).any()
+
+    def test_fine_tune_of_shared_solve_is_bitwise_prune_network(self, trained_fixture):
+        net = trained_fixture["net"]
+        tr = trained_fixture["train"]
+        template = trained_fixture["cfg"]
+        solved = prune_network(net, tr, PruneConfig(epsilon_gain=0.3))
+        for epochs in (0, 3):
+            cfg = PruneConfig(epsilon_gain=0.3, l2=0.004, dropout_keep=(0.5, 1.0),
+                              fine_tune_epochs=epochs, set_id="set2")
+            direct = prune_network(net, tr, cfg, train_template=template)
+            tuned = fine_tune(solved, tr, cfg, template)
+            assert tuned.config == cfg
+            assert E.bundle_digest(tuned) == E.bundle_digest(direct)
+            assert tuned.network == direct.network
+            assert tuned.feasibility_report == direct.feasibility_report
+            assert (tuned.network is solved.network) == (epochs == 0)
+        assert not solved.network.weights[0].flags.writeable
+
+    def test_fine_tune_rejects_another_epsilon(self, trained_fixture):
+        solved = prune_network(trained_fixture["net"], trained_fixture["train"],
+                               PruneConfig(epsilon_gain=0.3))
+        with pytest.raises(ValueError, match="differs from the solve"):
+            fine_tune(solved, trained_fixture["train"], PruneConfig(epsilon_gain=0.1))
 
     def test_sparsity_trend_over_grid(self, trained_fixture):
         net = trained_fixture["net"]
