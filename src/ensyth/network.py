@@ -31,6 +31,17 @@ def _per_layer(value, depth, name):
     return out
 
 
+def _check_regularizers(l1, l2, dropout_keep):
+    """Validate scalar-or-per-layer l1/l2 coefficients and dropout keep rates."""
+    for name, val in (("l1", l1), ("l2", l2)):
+        vals = [val] if np.isscalar(val) else list(val)
+        if any(v < 0 for v in vals):
+            raise ValueError(f"{name} coefficients must be >= 0")
+    keeps = [dropout_keep] if np.isscalar(dropout_keep) else list(dropout_keep)
+    if any(not (0.0 < k <= 1.0) for k in keeps):
+        raise ValueError("dropout_keep probabilities must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int
@@ -50,15 +61,7 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        for name in ("l1", "l2"):
-            val = getattr(self, name)
-            vals = [val] if np.isscalar(val) else list(val)
-            if any(v < 0 for v in vals):
-                raise ValueError(f"{name} coefficients must be >= 0")
-        keep = self.dropout_keep
-        keeps = [keep] if np.isscalar(keep) else list(keep)
-        if any(not (0.0 < k <= 1.0) for k in keeps):
-            raise ValueError("dropout_keep probabilities must lie in (0, 1]")
+        _check_regularizers(self.l1, self.l2, self.dropout_keep)
 
 
 def _frozen_array(arr, dtype=np.float64):

@@ -8,8 +8,8 @@ of stage functions, each implemented once here: ``data_stage``,
 bundle, one bundle per pool member, ``pool_metrics.csv``,
 ``elimination_trace.csv``, ``summary.json`` and ``accuracy_vs_size.svg``.
 The CLI subcommands call the same stages one at a time, so a stagewise run
-writes the same artifacts as ``run``, apart from the ``cpu_us_*`` columns.
-Everything except the cpu_us measurements is deterministic given the
+writes the same artifacts as ``run``, apart from the ``cpu_us_mean``
+column.  Everything except that measurement is deterministic given the
 master seed.
 """
 
@@ -47,7 +47,7 @@ BASELINE_BUNDLE = "baseline.ezip"
 POOL_DIR = "pool"
 
 _METRIC_COLUMNS = ("model_id", "set_id", "epsilon", "accuracy", "params",
-                   "sparsity", "bundle_bytes", "cpu_us_mean", "cpu_us_max_member")
+                   "sparsity", "bundle_bytes", "cpu_us_mean")
 
 
 def child_seed(master_seed, stage, index=0) -> int:
@@ -74,6 +74,8 @@ def _require_keys(obj, path, required, optional=()):
 def _number(obj, path, minimum=None):
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise ConfigError(f"{path}: expected a number")
+    if isinstance(obj, float) and not np.isfinite(obj):
+        raise ConfigError(f"{path}: expected a finite number, got {obj}")
     if minimum is not None and obj < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}")
     return obj
@@ -345,7 +347,6 @@ class MetricsRow:
     sparsity: float
     bundle_bytes: int
     cpu_us_mean: float | None = None
-    cpu_us_max_member: float | None = None
 
     def as_csv_row(self):
         def fmt(v):
@@ -378,8 +379,6 @@ def read_metrics_csv(path):
                 sparsity=float(rec["sparsity"]),
                 bundle_bytes=int(rec["bundle_bytes"]),
                 cpu_us_mean=float(rec["cpu_us_mean"]) if rec["cpu_us_mean"] else None,
-                cpu_us_max_member=(float(rec["cpu_us_max_member"])
-                                   if rec["cpu_us_max_member"] else None),
             ))
     return rows
 
@@ -652,7 +651,6 @@ def bench_stage(config, splits, models, rows):
         raise StageError("bench", str(exc)) from exc
     for row, timing in zip(rows, timings):
         row.cpu_us_mean = timing.mean_us
-        row.cpu_us_max_member = timing.max_member_us
     write_metrics_csv(rows, _out(config, METRICS_CSV))
     return rows
 

@@ -135,15 +135,6 @@ class TestTimedInference:
         result = timed_inference(self._model(), batch, repeats=3, clock=clock)
         assert result.mean_us == pytest.approx(20.0)
 
-    def test_ensemble_reports_mean_and_max_member(self):
-        clock = clock_for_durations([10.0, 20.0, 30.0, 50.0, 60.0, 70.0])
-        batch = DenseMatrix(np.ones((3, 2)))
-        members = [self._model(), self._model()]
-        result = timed_inference(members, batch, repeats=3, clock=clock)
-        assert result.per_member_us == (pytest.approx(20.0), pytest.approx(60.0))
-        assert result.mean_us == pytest.approx(40.0)
-        assert result.max_member_us == pytest.approx(60.0)
-
     def test_repeats_validated(self):
         with pytest.raises(ValueError):
             timed_inference(self._model(), DenseMatrix(np.ones((3, 1))), repeats=0)

@@ -6,9 +6,12 @@ import pytest
 import ensyth as E
 from ensyth import _kernels
 from ensyth.network import ReluNetwork
+from ensyth import pruner
 from ensyth.pruner import (
     LayerData,
     PruneConfig,
+    _column_violation,
+    _select_column,
     _solve_layer,
     collect_layer_data,
     fine_tune,
@@ -23,7 +26,7 @@ scipy = pytest.importorskip("scipy")
 
 def _solve(w_aug, ld, eps, hidden):
     """One layer's solve, as ``prune_network`` calls it."""
-    u, _ = _solve_layer(w_aug, ld.x_in.data, ld.x_out.data, ld.active_mask, eps, hidden)
+    u, _ = _solve_layer(w_aug, ld.x_in, ld.x_out, ld.active_mask, eps, hidden)
     return u
 
 
@@ -38,7 +41,7 @@ class TestCollectLayerData:
         net = _zero_net([3, 4, 2])
         x = DenseMatrix(np.ones((3, 6)))
         layers = collect_layer_data(net, x)
-        assert (layers[0].x_out.data == 0.0).all()
+        assert (layers[0].x_out == 0.0).all()
         assert not layers[0].active_mask.any()
         assert layers[1].active_mask.all()   # last layer: all entries count
 
@@ -47,16 +50,18 @@ class TestCollectLayerData:
         x = DenseMatrix(np.arange(8, dtype=float).reshape(2, 4))
         (layer,) = collect_layer_data(net, x)
         assert layer.x_in.shape == (3, 4)
-        assert (layer.x_in.data[-1] == 1.0).all()
-        assert (layer.x_in.data[:2] == x.data).all()
+        assert (layer.x_in[-1] == 1.0).all()
+        assert (layer.x_in[:2] == x.data).all()
+        assert not (layer.x_in.flags.writeable or layer.x_out.flags.writeable
+                    or layer.active_mask.flags.writeable)
 
     def test_single_layer_targets_are_logits(self, trained_fixture):
         net = trained_fixture["net"]
         x = trained_fixture["train"].features
         layers = collect_layer_data(net, x)
         acts = E.forward(net, x)
-        assert layers[-1].x_out.data.tobytes() == acts.final.tobytes()
-        assert layers[0].x_out.data.tobytes() == acts.layers[1].tobytes()
+        assert layers[-1].x_out.tobytes() == acts.final.tobytes()
+        assert layers[0].x_out.tobytes() == acts.layers[1].tobytes()
 
 
 class TestPruneLayer:
@@ -64,8 +69,7 @@ class TestPruneLayer:
         p = 6
         x_in = np.concatenate([np.random.default_rng(0).normal(size=(3, p)),
                                np.ones((1, p))])
-        data = LayerData(DenseMatrix(x_in), DenseMatrix(np.zeros((2, p))),
-                         np.zeros((2, p), dtype=bool))
+        data = LayerData(x_in, np.zeros((2, p)), np.zeros((2, p), dtype=bool))
         u = _solve(np.zeros((4, 2)), data, 0.1, hidden=True)
         assert (u == 0.0).all()
 
@@ -105,7 +109,7 @@ class TestPruneLayer:
         x_out = _kernels.relu(z)
         active = x_out > 0.0
         eps = 0.1
-        data = LayerData(DenseMatrix(x_in), DenseMatrix(x_out), active)
+        data = LayerData(x_in, x_out, active)
         u = _solve(w_aug, data, eps, hidden=True)
         d = w_aug.shape[0]
         penalize = np.ones(d, dtype=bool)
@@ -130,11 +134,63 @@ class TestPruneLayer:
             assert np.abs(u[:-1]).sum() <= \
                 np.abs(w_aug[:-1]).sum() * (1 + 1e-6)
 
+    def test_iteration_budget_cut_keeps_guarantees(self, trained_fixture, monkeypatch):
+        """Five ADMM iterations leave the hidden layer far from converged; the
+        column selection must still return ||U||_1 <= ||W||_1 and a residual
+        within eps."""
+        monkeypatch.setattr(pruner, "MAX_ITER", 5)
+        net = trained_fixture["net"]
+        ld = collect_layer_data(net, trained_fixture["train"].features)[0]
+        w_aug = np.concatenate([net.weights[0], net.biases[0][None, :]])
+        u, report = _solve_layer(w_aug, ld.x_in, ld.x_out, ld.active_mask, 0.2,
+                                 hidden=True)
+        assert report.iterations == 5 and not report.converged
+        assert np.abs(u[:-1]).sum() <= np.abs(w_aug[:-1]).sum() * (1 + 1e-6)
+        response = _kernels.relu(_kernels.matmul(np.ascontiguousarray(ld.x_in.T), u))
+        act = ld.active_mask.T
+        resid = float(np.sqrt((np.where(act, response - ld.x_out.T, 0.0) ** 2).sum()))
+        assert resid == report.residual
+        assert resid <= report.epsilon * (1 + 1e-3)
+
     def test_rejects_negative_eps(self):
         """The epsilon guard sits in ``PruneConfig``, which every solve takes."""
         for eps in (-0.1, float("nan")):
             with pytest.raises(ValueError, match="epsilon_gain must be >= 0"):
                 PruneConfig(epsilon_gain=eps)
+
+
+class TestSelectColumn:
+    @pytest.mark.parametrize("hidden", (False, True))
+    def test_repairs_infeasible_polish_and_iterate(self, hidden):
+        """An iterate that keeps one input (plus the bias) and its
+        least-squares polish both break a constraint; the blend toward the
+        baseline column repairs them and still beats the baseline's L1."""
+        rng = np.random.default_rng(5)
+        n_in, p = 4, 40
+        x_in = np.concatenate([rng.normal(size=(n_in, p)), np.ones((1, p))])
+        xt = np.ascontiguousarray(x_in.T)
+        w_col = np.array([2.0, 0.6, -0.5, 0.4, 0.1])
+        z = xt @ w_col
+        y = np.maximum(z, 0.0) if hidden else z
+        act = y > 0.0 if hidden else np.ones(p, dtype=bool)
+        eps_c = 0.2 * np.linalg.norm(y[act])
+        penalize = np.array([True] * n_in + [False])
+        zl_col = np.zeros_like(w_col)
+        zl_col[[0, -1]] = w_col[[0, -1]]
+        polish = np.zeros_like(w_col)
+        polish[[0, -1]] = np.linalg.lstsq(xt[np.ix_(act, [0, n_in])], y[act],
+                                          rcond=None)[0]
+        for cand in (zl_col, polish):
+            fit, slack, _ = _column_violation(cand, xt, y, act, eps_c, hidden)
+            assert max(fit, slack) > eps_c * 1e-3
+
+        chosen, fell_back = _select_column(w_col, zl_col, xt, y, act, eps_c, hidden,
+                                           penalize)
+        assert not fell_back
+        assert not np.array_equal(chosen, w_col)
+        fit, slack, _ = _column_violation(chosen, xt, y, act, eps_c, hidden)
+        assert fit <= eps_c * 1e-3 and slack <= eps_c * 1e-3
+        assert np.abs(chosen[penalize]).sum() <= np.abs(w_col[penalize]).sum()
 
 
 class TestPruneNetwork:
@@ -184,14 +240,14 @@ class TestPruneNetwork:
             hidden = l < net.depth - 1
             u = np.concatenate([pm.network.weights[l],
                                 pm.network.biases[l][None, :]])
-            response = _kernels.matmul(np.ascontiguousarray(ld.x_in.data.T), u)
+            response = _kernels.matmul(np.ascontiguousarray(ld.x_in.T), u)
             if hidden:
                 response = _kernels.relu(response)
             act = ld.active_mask.T
             resid = float(np.sqrt(
-                (np.where(act, response - ld.x_out.data.T, 0.0) ** 2).sum()))
+                (np.where(act, response - ld.x_out.T, 0.0) ** 2).sum()))
             eps_l = 0.25 * float(np.sqrt(
-                (np.where(act, ld.x_out.data.T, 0.0) ** 2).sum()))
+                (np.where(act, ld.x_out.T, 0.0) ** 2).sum()))
             assert resid == rep.residual
             assert resid <= eps_l * (1 + 1e-3)
 
